@@ -13,9 +13,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use beri_sim::MachineConfig;
 use cheri_olden::OldenParams;
-use cheri_sweep::{run_spec_profiled, run_spec_with_config, JobSpec, StrategyKind};
+use cheri_sweep::{JobSpec, RunOpts, StrategyKind};
 use cheri_work::Workload;
 
 fn spec(workload: Workload, strategy: StrategyKind) -> JobSpec {
@@ -26,17 +25,15 @@ fn spec(workload: Workload, strategy: StrategyKind) -> JobSpec {
 /// profiler; returns (instructions, cycles) for the throughput
 /// denominator and the transparency assertion.
 fn run(spec: &JobSpec, enabled: bool, profiled: bool) -> (u64, u64) {
-    let cfg = MachineConfig { block_cache: enabled, ..spec.machine_config() };
-    let stats = if profiled {
-        let (result, profile) = run_spec_profiled(spec, cfg).expect("bench workload runs");
+    let opts = RunOpts { block_cache: Some(enabled), profile: profiled, ..RunOpts::default() };
+    let out = cheri_sweep::run(spec, opts).expect("bench workload runs");
+    let stats = out.result.run.outcome.stats;
+    if let Some(profile) = out.profile {
         assert_eq!(
-            profile.total.retired, result.run.outcome.stats.instructions,
+            profile.total.retired, stats.instructions,
             "profile must account for every retired instruction"
         );
-        result.run.outcome.stats
-    } else {
-        run_spec_with_config(spec, cfg, None).expect("bench workload runs").run.outcome.stats
-    };
+    }
     (stats.instructions, stats.cycles)
 }
 

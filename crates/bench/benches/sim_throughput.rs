@@ -12,9 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use beri_sim::MachineConfig;
 use cheri_olden::OldenParams;
-use cheri_sweep::{run_spec_with_config, JobSpec, StrategyKind};
+use cheri_sweep::{JobSpec, RunOpts, StrategyKind};
 use cheri_work::Workload;
 
 /// One fig4-style job: workload × strategy at smoke-profile size (small
@@ -28,9 +27,9 @@ fn spec(workload: Workload, strategy: StrategyKind) -> JobSpec {
 /// (instructions, cycles) for the throughput denominator and the
 /// transparency assertion.
 fn run(spec: &JobSpec, enabled: bool) -> (u64, u64) {
-    let cfg = MachineConfig { block_cache: enabled, ..spec.machine_config() };
-    let result = run_spec_with_config(spec, cfg, None).expect("bench workload runs");
-    (result.run.outcome.stats.instructions, result.run.outcome.stats.cycles)
+    let opts = RunOpts { block_cache: Some(enabled), ..RunOpts::default() };
+    let stats = cheri_sweep::run(spec, opts).expect("bench workload runs").result.run.outcome.stats;
+    (stats.instructions, stats.cycles)
 }
 
 fn bench_sim_throughput(c: &mut Criterion) {

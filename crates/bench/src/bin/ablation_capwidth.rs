@@ -9,8 +9,8 @@
 //! The strategy triple is the canonical [`CAPWIDTH_STRATEGIES`] from
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
-use cheri_bench::{overhead_pct, params_for, parse_jobs, parse_scale};
-use cheri_sweep::{run_specs, JobSpec, CAPWIDTH_STRATEGIES};
+use cheri_bench::{overhead_pct, params_for, parse_scale, run_jobs};
+use cheri_sweep::{JobSpec, CAPWIDTH_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
             CAPWIDTH_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_specs(&specs, parse_jobs());
+    let results = run_jobs("ablation_capwidth", &specs, None);
 
     println!("== Capability width ablation: 256-bit vs 128-bit CHERI (execution) ==\n");
     println!("{:<11}{:>14}{:>14}{:>14}", "benchmark", "cheri-256", "cheri-128", "recovered");

@@ -6,9 +6,9 @@
 //! The size axis is the canonical [`TAG_ABLATION_KB`] from
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
-use cheri_bench::parse_jobs;
+use cheri_bench::run_jobs;
 use cheri_olden::OldenParams;
-use cheri_sweep::{run_specs, JobSpec, StrategyKind, TAG_ABLATION_KB};
+use cheri_sweep::{JobSpec, StrategyKind, TAG_ABLATION_KB};
 use cheri_work::Workload;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
             ..JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, params)
         })
         .collect();
-    let results = run_specs(&specs, parse_jobs());
+    let results = run_jobs("ablation_tag_cache", &specs, None);
 
     println!("== Tag-cache size ablation (treeadd depth 15, CHERI mode) ==\n");
     println!(

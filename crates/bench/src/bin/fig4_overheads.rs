@@ -8,10 +8,9 @@
 //! sweep engine (`--jobs N`; with `--trace-out` the jobs run serially
 //! so the event stream stays one ordered file).
 
-use cheri_bench::{bar, overhead_pct, params_for, parse_jobs, parse_scale, parse_trace_out};
+use cheri_bench::{bar, overhead_pct, params_for, parse_scale, parse_trace_out, run_jobs};
 use cheri_olden::dsl::BenchRun;
-use cheri_sweep::{run_specs, run_specs_traced, JobSpec, FIGURE4_STRATEGIES};
-use cheri_trace::Sink;
+use cheri_sweep::{JobSpec, FIGURE4_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
@@ -26,10 +25,7 @@ fn main() {
             FIGURE4_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = match &sink {
-        Some(s) => run_specs_traced(&specs, s),
-        None => run_specs(&specs, parse_jobs()),
-    };
+    let results = run_jobs("fig4_overheads", &specs, sink.as_ref());
 
     println!("== Figure 4: execution-time overhead vs unsafe MIPS ({scale:?} sizes) ==\n");
     println!(
@@ -75,7 +71,4 @@ fn main() {
         println!();
     }
     println!("(paper: 'CHERI outperforms CCured substantially in all configurations')");
-    if let Some(s) = &sink {
-        s.borrow_mut().flush();
-    }
 }

@@ -7,9 +7,8 @@
 //! sweep engine (`--jobs N`; `--trace-out` forces the serial traced
 //! path).
 
-use cheri_bench::{bar, overhead_pct, parse_jobs, parse_trace_out};
-use cheri_sweep::{heapsize_sweep, run_specs, run_specs_traced, JobSpec, HEAPSIZE_STRATEGIES};
-use cheri_trace::Sink;
+use cheri_bench::{bar, overhead_pct, parse_trace_out, run_jobs};
+use cheri_sweep::{heapsize_sweep, JobSpec, HEAPSIZE_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
@@ -27,10 +26,7 @@ fn main() {
             })
         })
         .collect();
-    let results = match &sink {
-        Some(s) => run_specs_traced(&specs, s),
-        None => run_specs(&specs, parse_jobs()),
-    };
+    let results = run_jobs("fig5_heapsize", &specs, sink.as_ref());
 
     let mut rows = results.chunks(HEAPSIZE_STRATEGIES.len());
     for bench in Workload::ALL {
@@ -49,7 +45,4 @@ fn main() {
     println!("(paper: 'For very small sets, overhead is negligible. As working");
     println!(" set-size increases, capability cache pressure grows faster than");
     println!(" for unprotected code', with steps at the L1/L2/TLB capacities.)");
-    if let Some(s) = &sink {
-        s.borrow_mut().flush();
-    }
 }

@@ -23,7 +23,7 @@
 
 use cheri_bench::cli::{self, Cli};
 use cheri_olden::OldenParams;
-use cheri_sweep::{run_spec_profiled, JobSpec, DEFAULT_TAG_CACHE_KB};
+use cheri_sweep::{run, JobSpec, RunOpts, DEFAULT_TAG_CACHE_KB};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "profbin [--workload NAME] [--strategy NAME] [--tag-kb N] [--top N] \
@@ -87,8 +87,9 @@ fn main() {
                     args.workload, args.strategy
                 ))
             });
-    let (result, profile) = run_spec_profiled(&spec, spec.machine_config())
+    let out = run(&spec, RunOpts { profile: true, ..RunOpts::default() })
         .unwrap_or_else(|e| fail(&format!("{}: {e}", spec.key())));
+    let (result, profile) = (out.result, out.profile.expect("a profiled run returns its profile"));
 
     let stats = &result.run.outcome.stats;
     println!("== profbin: {} ==\n", spec.key());

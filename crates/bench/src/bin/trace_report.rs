@@ -13,11 +13,10 @@
 //! `--out` saves the aggregate snapshot for later comparison with
 //! `--diff`, which prints per-counter deltas between two saved runs.
 
-use cheri_bench::cli::Cli;
-use cheri_bench::{params_for, parse_bench_name, parse_scale, parse_strategy};
-use cheri_olden::dsl::BenchSession;
+use cheri_bench::cli::{self, Cli};
+use cheri_bench::{params_for, parse_bench_name, parse_scale};
+use cheri_sweep::{run, JobSpec, RunOpts, StrategyKind};
 use cheri_trace::{marker, names, shared, AggregateSink, AnySink, JsonlSink, Sink, Snapshot};
-use cheri_work::machine_config;
 
 const USAGE: &str = "trace_report <workload> [--strategy <name>]\n\
      \u{20}                   [--scaled|--paper] [--jsonl <path>] [--out <path>]\n\
@@ -97,10 +96,10 @@ fn main() {
     let Some(bench) = positional.first().and_then(|n| parse_bench_name(n)) else {
         cli.usage_exit("a benchmark name is required");
     };
-    let Some(strategy) = parse_strategy(&strategy_name) else {
+    let Some(strategy) = StrategyKind::parse(&strategy_name) else {
         cli.usage_exit(&format!("unknown strategy {strategy_name:?}"));
     };
-    let params = params_for(parse_scale());
+    let spec = JobSpec::new(bench, strategy, params_for(parse_scale()));
 
     // Aggregate always; tee into a JSONL stream when asked.
     let mut sinks = vec![AnySink::Aggregate(AggregateSink::new())];
@@ -111,13 +110,11 @@ fn main() {
     }
     let sink = shared(AnySink::Multi(sinks));
 
-    marker(&Some(sink.clone()), &format!("run start: {}/{}", bench.name(), strategy.name()));
-    let cfg = machine_config(bench, &params, strategy.as_ref());
-    let module = bench.module(&params);
-    let run = BenchSession::start_module(&module, strategy.as_ref(), cfg, Some(sink.clone()))
-        .map_err(|e| e.to_string())
-        .and_then(|mut s| s.run_to_completion().map_err(|e| e.to_string()))
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), strategy.name()));
+    // The runner writes the `run start: <workload>/<strategy>` marker.
+    let run = run(&spec, RunOpts { sink: Some(sink.clone()), ..RunOpts::default() })
+        .unwrap_or_else(|e| cli::fail("trace_report", &format!("{}: {e}", spec.key())))
+        .result
+        .run;
     marker(&Some(sink.clone()), "run end");
     sink.borrow_mut().flush();
 

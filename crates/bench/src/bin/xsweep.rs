@@ -38,12 +38,12 @@
 //! triage with `snapreplay`.
 
 use cheri_bench::cli::{self, Cli};
-use cheri_bench::parse_workloads_csv;
+use cheri_bench::{all_or_fail, parse_workloads_csv};
 use cheri_snap::Snapshot;
 use cheri_sweep::{
-    check_reports, comparisons, profile_matrix, render_drifts, run_indexed, run_matrix,
-    run_spec_final_snap, run_spec_resume, run_spec_split, run_specs, run_specs_block_cache,
-    run_specs_profiled, JobRecord, JobResult, JobSpec, Profile, SweepReport,
+    check_reports, comparisons, profile_matrix, render_drifts, run, run_indexed, run_many,
+    run_matrix, Capture, JobRecord, JobResult, JobSpec, Profile, RunOpts, RunOutput, Start,
+    SweepReport,
 };
 use cheri_trace::json::{self, Json};
 use cheri_work::Workload;
@@ -148,14 +148,50 @@ fn selected_matrix(args: &Args) -> Vec<JobSpec> {
     }
 }
 
+/// Prints a mode's banner: `== xsweep{mode}: N jobs (P profile) on T
+/// threads{what} ==`.
+fn banner(args: &Args, jobs: usize, mode: &str, what: &str) {
+    let plural = if args.jobs == 1 { "" } else { "s" };
+    let (profile, threads) = (args.profile.name(), args.jobs);
+    println!(
+        "== xsweep{mode}: {jobs} jobs ({profile} profile) on {threads} thread{plural}{what} ==\n"
+    );
+}
+
+/// The sweep report of one matrix pass; exits 1 naming the first failed
+/// job.
+fn report_of(args: &Args, outs: Vec<Result<RunOutput, String>>) -> SweepReport {
+    let results: Vec<JobResult> =
+        all_or_fail("xsweep", outs).into_iter().map(|o| o.result).collect();
+    SweepReport::from_results(args.profile.name(), &results)
+}
+
 /// Writes a divergence snapshot under `results/` with the job key
-/// flattened into the file name, and returns the path.
-fn write_divergence(key: &str, suffix: &str, snap: &Snapshot) -> PathBuf {
+/// flattened into the file name.
+fn write_divergence(key: &str, suffix: &str, snap: &Snapshot) {
     let name = format!("divergence-{}{suffix}.json", key.replace('/', "-"));
     let path = Path::new("results").join(name);
     write_report(&path, &snap.to_json());
     eprintln!("xsweep: divergence snapshot: {}", path.display());
-    path
+}
+
+/// Re-runs the job `key` to completion once per `(block_cache, suffix)`
+/// variant and writes each final machine+kernel snapshot as a
+/// divergence file for `snapreplay`. Returns whether every dump was
+/// written.
+fn dump_divergence(specs: &[JobSpec], key: &str, variants: &[(Option<bool>, &str)]) -> bool {
+    let Some(spec) = specs.iter().find(|s| s.key() == key) else { return false };
+    let mut all = true;
+    for &(block_cache, suffix) in variants {
+        match run(spec, RunOpts { block_cache, capture: Capture::Final, ..RunOpts::default() }) {
+            Ok(out) => write_divergence(key, suffix, &out.snapshot.expect("final snapshot")),
+            Err(e) => {
+                eprintln!("xsweep: re-run of {key} failed: {e}");
+                all = false;
+            }
+        }
+    }
+    all
 }
 
 /// The timing sections of `results/perf.json`. Each timing mode owns
@@ -248,41 +284,22 @@ fn write_perf_doc(
 /// machine+kernel snapshots land in `results/` for `snapreplay`.
 fn run_perf(args: &Args, path: &Path) -> ! {
     let specs = selected_matrix(args);
-    println!(
-        "== xsweep --perf: {} jobs ({} profile) on {} thread{}, block cache on vs off ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
-    );
+    banner(args, specs.len(), " --perf", ", block cache on vs off");
     let time_matrix = |enabled: bool| {
         let t0 = Instant::now();
-        let results = run_specs_block_cache(&specs, args.jobs, enabled);
+        let outs = run_many(&specs, args.jobs, |_| RunOpts {
+            block_cache: Some(enabled),
+            ..RunOpts::default()
+        });
         let wall_ms = t0.elapsed().as_millis() as u64;
-        (SweepReport::from_results(args.profile.name(), &results), wall_ms)
+        (report_of(args, outs), wall_ms)
     };
     let (report_on, wall_on_ms) = time_matrix(true);
     println!("block cache on:  {:.2}s", wall_on_ms as f64 / 1e3);
     let (report_off, wall_off_ms) = time_matrix(false);
     println!("block cache off: {:.2}s", wall_off_ms as f64 / 1e3);
-    if report_on.to_json() != report_off.to_json() {
-        let bad = report_on
-            .jobs
-            .iter()
-            .zip(&report_off.jobs)
-            .find(|(a, b)| a != b)
-            .map_or_else(|| "<report>".to_string(), |(a, _)| a.key.clone());
-        if let Some(spec) = specs.iter().find(|s| s.key() == bad) {
-            for (enabled, suffix) in [(true, "-bc-on"), (false, "-bc-off")] {
-                let cfg = beri_sim::MachineConfig { block_cache: enabled, ..spec.machine_config() };
-                match run_spec_final_snap(spec, cfg) {
-                    Ok((_, snap)) => {
-                        write_divergence(&bad, suffix, &snap);
-                    }
-                    Err(e) => eprintln!("xsweep: re-run of {bad} failed: {e}"),
-                }
-            }
-        }
+    if let Some(bad) = report_on.first_difference(&report_off) {
+        dump_divergence(&specs, &bad, &[(Some(true), "-bc-on"), (Some(false), "-bc-off")]);
         fail(&format!(
             "block cache changed architectural results (first diverging job: {bad}) — \
              it must be transparent; triage with snapreplay"
@@ -328,39 +345,27 @@ struct WarmCell {
 /// aggregate warm-start speedup in the perf report.
 fn run_warm(args: &Args) -> ! {
     let specs = selected_matrix(args);
-    println!(
-        "== xsweep --warm: {} jobs ({} profile) on {} thread{}, cold + warm-started ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
-    );
-    let cells = run_indexed(specs.len(), args.jobs, |i| {
+    banner(args, specs.len(), " --warm", ", cold + warm-started");
+    let cells = run_indexed(specs.len(), args.jobs, |i| -> Result<WarmCell, String> {
         let spec = &specs[i];
-        let cfg = spec.machine_config();
         let t0 = Instant::now();
-        let (cold, snap) =
-            run_spec_split(spec, cfg.clone()).unwrap_or_else(|e| panic!("{}: {e}", spec.key()));
+        let RunOutput { result: cold, snapshot, .. } =
+            run(spec, RunOpts { capture: Capture::Phase2, ..RunOpts::default() })
+                .map_err(|e| format!("{}: {e}", spec.key()))?;
         let cold_ns = t0.elapsed().as_nanos() as u64;
-        match snap {
+        let Some(snap) = snapshot else {
             // Finished before the phase boundary: nothing to warm-start.
-            None => WarmCell { warm: cold.clone(), cold, cold_ns, warm_ns: 0, evidence: None },
-            Some(snap) => {
-                let t1 = Instant::now();
-                let warm = run_spec_resume(spec, &snap, cfg.block_cache)
-                    .unwrap_or_else(|e| panic!("{} (warm): {e}", spec.key()));
-                let warm_ns = t1.elapsed().as_nanos() as u64;
-                let diverged = JobRecord::from_result(&cold) != JobRecord::from_result(&warm);
-                WarmCell {
-                    cold,
-                    warm,
-                    cold_ns,
-                    warm_ns,
-                    evidence: diverged.then(|| Box::new(snap)),
-                }
-            }
-        }
+            return Ok(WarmCell { warm: cold.clone(), cold, cold_ns, warm_ns: 0, evidence: None });
+        };
+        let t1 = Instant::now();
+        let warm = run(spec, RunOpts { start: Start::Resume(&snap), ..RunOpts::default() })
+            .map_err(|e| format!("{} (warm): {e}", spec.key()))?
+            .result;
+        let warm_ns = t1.elapsed().as_nanos() as u64;
+        let diverged = JobRecord::from_result(&cold) != JobRecord::from_result(&warm);
+        Ok(WarmCell { cold, warm, cold_ns, warm_ns, evidence: diverged.then(|| Box::new(snap)) })
     });
+    let cells: Vec<WarmCell> = cells.into_iter().map(|c| c.unwrap_or_else(|e| fail(&e))).collect();
 
     let diverged: Vec<&WarmCell> = cells.iter().filter(|c| c.evidence.is_some()).collect();
     for cell in &diverged {
@@ -426,33 +431,16 @@ fn run_warm(args: &Args) -> ! {
 /// machine+kernel snapshot lands in `results/` for `snapreplay`.
 fn run_prof(args: &Args) -> ! {
     let specs = selected_matrix(args);
-    println!(
-        "== xsweep --prof: {} jobs ({} profile) on {} thread{}, plain vs profiled ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
+    banner(args, specs.len(), " --prof", ", plain vs profiled");
+    let report_plain = report_of(args, run_many(&specs, args.jobs, |_| RunOpts::default()));
+    let profiled = all_or_fail(
+        "xsweep",
+        run_many(&specs, args.jobs, |_| RunOpts { profile: true, ..RunOpts::default() }),
     );
-    let plain = run_specs(&specs, args.jobs);
-    let report_plain = SweepReport::from_results(args.profile.name(), &plain);
-    let profiled = run_specs_profiled(&specs, args.jobs);
-    let prof_results: Vec<JobResult> = profiled.iter().map(|(r, _)| r.clone()).collect();
+    let prof_results: Vec<JobResult> = profiled.iter().map(|out| out.result.clone()).collect();
     let report_prof = SweepReport::from_results(args.profile.name(), &prof_results);
-    if report_plain.to_json() != report_prof.to_json() {
-        let bad = report_plain
-            .jobs
-            .iter()
-            .zip(&report_prof.jobs)
-            .find(|(a, b)| a != b)
-            .map_or_else(|| "<report>".to_string(), |(a, _)| a.key.clone());
-        if let Some(spec) = specs.iter().find(|s| s.key() == bad) {
-            match run_spec_final_snap(spec, spec.machine_config()) {
-                Ok((_, snap)) => {
-                    write_divergence(&bad, "-plain", &snap);
-                }
-                Err(e) => eprintln!("xsweep: re-run of {bad} failed: {e}"),
-            }
-        }
+    if let Some(bad) = report_plain.first_difference(&report_prof) {
+        dump_divergence(&specs, &bad, &[(None, "-plain")]);
         fail(&format!(
             "profiling changed architectural results (first diverging job: {bad}) — \
              it must be observational; triage with snapreplay"
@@ -462,8 +450,8 @@ fn run_prof(args: &Args) -> ! {
 
     let dir = Path::new("results/prof");
     println!("{:<28} {:>14} {:>6}  hottest function", "job", "retired", "funcs");
-    for (result, profile) in &profiled {
-        let key = result.spec.key();
+    for out in &profiled {
+        let (key, profile) = (out.result.spec.key(), out.profile.as_ref().expect("profiled run"));
         let flat = key.replace('/', "-");
         write_report(&dir.join(format!("{flat}.prof.json")), &profile.to_json());
         write_report(&dir.join(format!("{flat}.folded")), &profile.folded_output());
@@ -494,20 +482,14 @@ fn main() {
         run_prof(&args);
     }
     let specs = selected_matrix(&args);
-    println!(
-        "== xsweep: {} jobs ({} profile) on {} thread{} ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
-    );
+    banner(&args, specs.len(), "", "");
     let t0 = Instant::now();
     // Unfiltered runs use the library form of this default mode — the
     // same call the cheri-serve transparency gate compares a served
     // sweep against. A --workloads selection runs just its specs.
     let report = match &args.workloads {
-        None => run_matrix(args.profile, args.jobs),
-        Some(_) => SweepReport::from_results(args.profile.name(), &run_specs(&specs, args.jobs)),
+        None => run_matrix(args.profile, args.jobs).unwrap_or_else(|e| fail(&e)),
+        Some(_) => report_of(&args, run_many(&specs, args.jobs, |_| RunOpts::default())),
     };
     let wall = t0.elapsed();
 
@@ -576,13 +558,8 @@ fn main() {
                 if dumped.len() >= 3 || dumped.contains(&drift.job) {
                     continue;
                 }
-                let Some(spec) = specs.iter().find(|s| s.key() == drift.job) else { continue };
-                match run_spec_final_snap(spec, spec.machine_config()) {
-                    Ok((_, snap)) => {
-                        write_divergence(&drift.job, "", &snap);
-                        dumped.push(drift.job.clone());
-                    }
-                    Err(e) => eprintln!("xsweep: re-run of {} failed: {e}", drift.job),
+                if dump_divergence(&specs, &drift.job, &[(None, "")]) {
+                    dumped.push(drift.job.clone());
                 }
             }
             println!(

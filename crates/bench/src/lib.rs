@@ -28,8 +28,8 @@ pub mod triage;
 
 use cheri_cc::strategy::PtrStrategy;
 use cheri_olden::OldenParams;
-use cheri_sweep::StrategyKind;
-use cheri_trace::{shared, AnySink, JsonlSink, SharedSink};
+use cheri_sweep::{run, run_many, JobResult, JobSpec, RunOpts, RunOutput};
+use cheri_trace::{shared, AnySink, JsonlSink, SharedSink, Sink};
 use cheri_work::Workload;
 
 /// Which problem-size preset a harness should use.
@@ -103,14 +103,6 @@ pub fn parse_workloads_csv(cli: &cli::Cli, csv: &str) -> Vec<Workload> {
     ws
 }
 
-/// Resolves a pointer strategy by name, accepting the common aliases
-/// used across the harnesses (`mips`/`legacy`, `ccured`/`soft`,
-/// `ccured-elide`/`elide`, `cheri`/`cap`/`c256`, `cheri128`/`c128`).
-#[must_use]
-pub fn parse_strategy(name: &str) -> Option<Box<dyn PtrStrategy>> {
-    StrategyKind::parse(name).map(StrategyKind::strategy)
-}
-
 /// Parses the `--jobs N` flag shared by the matrix harnesses; defaults
 /// to the host's available parallelism.
 ///
@@ -153,6 +145,35 @@ pub fn parse_trace_out() -> Option<SharedSink> {
         std::process::exit(2);
     });
     Some(shared(AnySink::Jsonl(jsonl)))
+}
+
+/// Unwraps one sweep result per job, exiting 1 through [`cli::fail`]
+/// with the first failed job's error (which names the job's key).
+#[must_use]
+pub fn all_or_fail(tool: &str, outs: Vec<Result<RunOutput, String>>) -> Vec<RunOutput> {
+    outs.into_iter().map(|r| r.unwrap_or_else(|e| cli::fail(tool, &e))).collect()
+}
+
+/// Runs a figure or ablation harness's jobs and returns their results in
+/// spec order: on `--jobs N` workers, or — given a `--trace-out` sink —
+/// serially on this thread, so the event stream stays one ordered file,
+/// flushed before returning. Exits 1 through [`cli::fail`] naming the
+/// first failed job.
+#[must_use]
+pub fn run_jobs(tool: &str, specs: &[JobSpec], sink: Option<&SharedSink>) -> Vec<JobResult> {
+    let outs = match sink {
+        None => run_many(specs, parse_jobs(), |_| RunOpts::default()),
+        Some(sink) => {
+            let traced = |spec: &JobSpec| {
+                let opts = RunOpts { sink: Some(sink.clone()), ..RunOpts::default() };
+                run(spec, opts).map_err(|e| format!("{}: {e}", spec.key()))
+            };
+            let outs = specs.iter().map(traced).collect();
+            sink.borrow_mut().flush();
+            outs
+        }
+    };
+    all_or_fail(tool, outs).into_iter().map(|out| out.result).collect()
 }
 
 /// Percentage overhead of `x` over `base`.

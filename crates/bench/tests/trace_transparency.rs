@@ -4,10 +4,10 @@
 //! bit-identical architectural end-states — same registers, same cycle
 //! count, same physical memory image.
 
-use cheri_bench::parse_strategy;
 use cheri_olden::dsl::{compile_bench, machine_config, DslBench};
 use cheri_olden::OldenParams;
 use cheri_os::{boot, KernelConfig, RunOutcome};
+use cheri_sweep::StrategyKind;
 use cheri_trace::{names, shared, AggregateSink, AnySink, NullSink, SharedSink};
 
 /// FNV-1a over the whole physical memory image.
@@ -35,7 +35,7 @@ struct EndState {
 fn run_treeadd(sink: Option<SharedSink>) -> EndState {
     let bench = DslBench::Treeadd;
     let params = OldenParams::scaled();
-    let strategy = parse_strategy("cheri").unwrap();
+    let strategy = StrategyKind::Cheri256.strategy();
     let program = compile_bench(bench, &params, strategy.as_ref()).unwrap();
     let machine = machine_config(bench, &params, strategy.as_ref());
     let user_top = (machine.mem_bytes as u64).max(16 << 20) + (16 << 20);

@@ -155,44 +155,6 @@ pub fn compile_bench(
     compile(&bench.module(params), strategy, cheri_cc::codegen::CompileOpts::default())
 }
 
-/// [`compile_bench`] plus the workload's symbol table (function name →
-/// PC range), for profiled runs.
-///
-/// # Errors
-///
-/// Propagates [`CompileError`].
-pub fn compile_bench_with_symbols(
-    bench: DslBench,
-    params: &OldenParams,
-    strategy: &dyn PtrStrategy,
-) -> Result<(Program, cheri_prof::SymbolTable), CompileError> {
-    compile_module_with_symbols(&bench.module(params), strategy)
-}
-
-/// Compiles an arbitrary IR module under `strategy` and converts its
-/// symbol table to the profiler's form — the workload-agnostic core of
-/// [`compile_bench_with_symbols`], shared with the `cheri-work`
-/// workloads.
-///
-/// # Errors
-///
-/// Propagates [`CompileError`].
-pub fn compile_module_with_symbols(
-    module: &Module,
-    strategy: &dyn PtrStrategy,
-) -> Result<(Program, cheri_prof::SymbolTable), CompileError> {
-    let (program, syms) = cheri_cc::compile_with_symbols(
-        module,
-        strategy,
-        cheri_cc::codegen::CompileOpts::default(),
-    )?;
-    let defs = syms
-        .iter()
-        .map(|s| cheri_prof::SymbolDef { name: s.name.to_string(), start: s.start, end: s.end })
-        .collect();
-    Ok((program, cheri_prof::SymbolTable::new(defs)))
-}
-
 /// Compiles and runs `bench` under `strategy` on a fresh kernel/machine,
 /// decomposing the run into allocation and computation phases.
 ///
@@ -206,25 +168,7 @@ pub fn run_bench(
     strategy: &dyn PtrStrategy,
     machine: MachineConfig,
 ) -> Result<BenchRun, Box<dyn std::error::Error>> {
-    run_bench_with_sink(bench, params, strategy, machine, None)
-}
-
-/// [`run_bench`] with a trace sink attached to the whole stack (kernel,
-/// pipeline, caches, tag controller) for the duration of the run. The
-/// sink is attached after boot and before `exec`, so the event stream
-/// covers exactly the instructions the legacy counters cover.
-///
-/// # Errors
-///
-/// As [`run_bench`].
-pub fn run_bench_with_sink(
-    bench: DslBench,
-    params: &OldenParams,
-    strategy: &dyn PtrStrategy,
-    machine: MachineConfig,
-    sink: Option<cheri_trace::SharedSink>,
-) -> Result<BenchRun, Box<dyn std::error::Error>> {
-    let mut session = BenchSession::start(bench, params, strategy, machine, sink)?;
+    let mut session = BenchSession::start_module(&bench.module(params), strategy, machine, None)?;
     Ok(session.run_to_completion()?)
 }
 
@@ -235,11 +179,10 @@ pub const RUNAWAY_BUDGET: u64 = 200_000_000_000;
 
 /// A benchmark run that can be paused, snapshotted, and resumed.
 ///
-/// [`BenchSession::start`] compiles and execs the workload exactly as
-/// [`run_bench_with_sink`] always has (it is now implemented on top of
-/// this type); the session then runs to completion in one call, or in
-/// pieces via [`BenchSession::run_until_phase`] / [`BenchSession::run_for`]
-/// with [`BenchSession::snapshot`] at any stop. A snapshot restored via
+/// [`BenchSession::boot`] compiles and execs a workload; the
+/// session then runs to completion in one call, or in pieces via
+/// [`BenchSession::run_until_phase`] / [`BenchSession::run_for`] with
+/// [`BenchSession::snapshot`] at any stop. A snapshot restored via
 /// [`BenchSession::resume`] finishes with results bit-identical to the
 /// uninterrupted run — the warm-start sweep mode and the `snapreplay`
 /// triage tool are both built on this.
@@ -249,84 +192,31 @@ pub struct BenchSession {
 }
 
 impl BenchSession {
-    /// Compiles `bench` under `strategy`, boots a kernel sized by
+    /// Compiles `module` under `strategy`, boots a kernel sized by
     /// `machine`, attaches `sink`, and execs the program — everything up
-    /// to (but not including) the first instruction.
+    /// to (but not including) the first instruction. The session neither
+    /// knows nor cares which workload built the module, so any guest
+    /// program with the Phase/Print conventions (the Olden four and the
+    /// `cheri-work` workloads) runs, snapshots, and resumes the same way.
+    ///
+    /// With `profiled`, a [`cheri_prof::Profiler`] loaded with the
+    /// module's symbol table goes on before `exec` on the freshly booted
+    /// machine, so its attribution covers every counted event and the
+    /// per-function sums equal the final global counters. Collect the
+    /// result with [`BenchSession::take_profile`].
     ///
     /// # Errors
     ///
     /// Compile errors and OS exec errors, boxed as in [`run_bench`].
-    pub fn start(
-        bench: DslBench,
-        params: &OldenParams,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(&bench.module(params), strategy, machine, sink, false)
-    }
-
-    /// [`BenchSession::start`] for an arbitrary IR module: the session
-    /// neither knows nor cares which workload built the module, so any
-    /// guest program with the Phase/Print conventions (the `cheri-work`
-    /// workloads) runs, snapshots, and resumes exactly like the Olden
-    /// four.
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchSession::start`].
-    pub fn start_module(
-        module: &Module,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(module, strategy, machine, sink, false)
-    }
-
-    /// [`BenchSession::start_module`] with the symbolized profiler
-    /// attached (the module analogue of [`BenchSession::start_profiled`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchSession::start`].
-    pub fn start_module_profiled(
-        module: &Module,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(module, strategy, machine, sink, true)
-    }
-
-    /// [`BenchSession::start`] with a [`cheri_prof::Profiler`] attached
-    /// (loaded with the workload's symbol table). The profiler goes on
-    /// before `exec` on the freshly booted machine, so its attribution
-    /// covers every counted event and the per-function sums equal the
-    /// final global counters. Collect the result with
-    /// [`BenchSession::take_profile`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchSession::start`].
-    pub fn start_profiled(
-        bench: DslBench,
-        params: &OldenParams,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(&bench.module(params), strategy, machine, sink, true)
-    }
-
-    fn start_inner(
+    pub fn boot(
         module: &Module,
         strategy: &dyn PtrStrategy,
         machine: MachineConfig,
         sink: Option<cheri_trace::SharedSink>,
         profiled: bool,
     ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        let (program, symbols) = compile_module_with_symbols(module, strategy)?;
+        let opts = cheri_cc::codegen::CompileOpts::default();
+        let (program, syms) = cheri_cc::compile_with_symbols(module, strategy, opts)?;
         let user_top = (machine.mem_bytes as u64).max(16 << 20) + (16 << 20);
         let layout = cheri_os::ProcessLayout {
             stack_top: user_top - 4096,
@@ -341,16 +231,35 @@ impl BenchSession {
         });
         kernel.set_trace_sink(sink);
         if profiled {
+            let defs = syms.iter().map(|s| cheri_prof::SymbolDef {
+                name: s.name.to_string(),
+                start: s.start,
+                end: s.end,
+            });
             let mut prof = Box::new(cheri_prof::Profiler::new());
-            prof.set_symbols(symbols);
+            prof.set_symbols(cheri_prof::SymbolTable::new(defs.collect()));
             kernel.machine_mut().set_profiler(Some(prof));
         }
         kernel.exec(&program)?;
         Ok(BenchSession { kernel, mode: strategy.name() })
     }
 
-    /// Detaches the profiler (if [`BenchSession::start_profiled`] was
-    /// used) and finishes it into a [`cheri_prof::ProfileReport`].
+    /// [`BenchSession::boot`] without a profiler.
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchSession::boot`].
+    pub fn start_module(
+        module: &Module,
+        strategy: &dyn PtrStrategy,
+        machine: MachineConfig,
+        sink: Option<cheri_trace::SharedSink>,
+    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
+        BenchSession::boot(module, strategy, machine, sink, false)
+    }
+
+    /// Detaches the profiler (if [`BenchSession::boot`] attached one)
+    /// and finishes it into a [`cheri_prof::ProfileReport`].
     pub fn take_profile(&mut self) -> Option<cheri_prof::ProfileReport> {
         self.kernel.machine_mut().take_profiler().map(|p| p.into_report())
     }
@@ -418,25 +327,19 @@ impl BenchSession {
         Ok(out.map(|o| self.finish(o)))
     }
 
+    /// Splits an outcome into phase statistics.
     fn finish(&self, outcome: RunOutcome) -> BenchRun {
-        let heap_used = self.kernel.heap_used().unwrap_or(0);
-        finish_run(self.mode, outcome, heap_used)
-    }
-}
-
-/// Splits an outcome into phase statistics.
-#[must_use]
-pub fn finish_run(mode: &'static str, outcome: RunOutcome, heap_used: u64) -> BenchRun {
-    let at = |id: u64| outcome.phases.iter().find(|p| p.id == id).map(|p| p.stats);
-    let p1 = at(1).unwrap_or_default();
-    let p2 = at(2).unwrap_or(outcome.stats);
-    let p3 = at(3).unwrap_or(outcome.stats);
-    BenchRun {
-        mode,
-        outcome: outcome.clone(),
-        alloc: p2.since(&p1),
-        compute: p3.since(&p2),
-        heap_used,
+        let at = |id: u64| outcome.phases.iter().find(|p| p.id == id).map(|p| p.stats);
+        let p1 = at(1).unwrap_or_default();
+        let p2 = at(2).unwrap_or(outcome.stats);
+        let p3 = at(3).unwrap_or(outcome.stats);
+        BenchRun {
+            mode: self.mode,
+            alloc: p2.since(&p1),
+            compute: p3.since(&p2),
+            outcome,
+            heap_used: self.kernel.heap_used().unwrap_or(0),
+        }
     }
 }
 

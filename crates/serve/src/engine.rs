@@ -2,13 +2,14 @@
 //! plus the cache → pool → cold decision ladder for each job.
 //!
 //! Batch and served execution share one code path by construction:
-//! every rung of the ladder bottoms out in the same `cheri-sweep`
-//! runners the batch binaries use — [`run_spec_resume`] for warm
-//! execution (exactly `xsweep --warm`'s restore path) and
-//! [`run_spec_split`] for cold execution (exactly its cold path). The
-//! service adds only *where results come from* (cache, pooled snapshot,
-//! fresh boot), never *how they are computed* — which is why the
-//! transparency gate can demand byte-identity with the batch report.
+//! every rung of the ladder bottoms out in the same [`cheri_sweep::run`]
+//! the batch binaries use — [`Start::Resume`] for warm execution
+//! (exactly `xsweep --warm`'s restore path) and a cold start with a
+//! [`Capture::Phase2`] snapshot for cold execution (exactly its cold
+//! path). The service adds only *where results come from* (cache,
+//! pooled snapshot, fresh boot), never *how they are computed* — which
+//! is why the transparency gate can demand byte-identity with the batch
+//! report.
 
 use crate::cache::{cache_key_canonical, ResultCache, NO_SNAPSHOT};
 use crate::pool::{boot_snapshot, SnapshotPool};
@@ -16,8 +17,8 @@ use crate::protocol::{Origin, StatsSnapshot};
 use crate::signal;
 use crate::telem::{elapsed_us, JobCtx, PhaseRecorder, ServiceTelem};
 use cheri_sweep::{
-    profile_matrix, run_matrix, run_spec_profiled, run_spec_resume_spanned, run_spec_split_spanned,
-    JobRecord, JobSpec, Profile, SweepReport,
+    profile_matrix, run, run_matrix, Capture, JobRecord, JobSpec, Profile, RunOpts, RunOutput,
+    Start, SweepReport,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -257,18 +258,18 @@ impl JobEngine {
     /// 1. pooled snapshot present → cache lookup under (config,
     ///    snapshot-hash); hit → served from cache;
     /// 2. miss but pool entry present and warm execution enabled →
-    ///    restore and run the computation phase ([`run_spec_resume`]);
-    /// 3. otherwise → full cold run via [`run_spec_split`], pooling the
-    ///    phase-2 snapshot it captures for every later request.
+    ///    restore and run the computation phase ([`Start::Resume`]);
+    /// 3. otherwise → full cold run capturing [`Capture::Phase2`],
+    ///    pooling that snapshot for every later request.
     ///
     /// `use_cache = false` (the load generator's hot mode) skips step 1
     /// and does not store, forcing real execution.
     ///
     /// `ctx` attributes the job's phase spans and latency to a request
     /// (pass [`JobCtx::default`] outside request handling). Telemetry
-    /// observes the ladder, never steers it: the `*_spanned` runners
-    /// invoked here are the same functions the batch path runs with a
-    /// no-op hook.
+    /// observes the ladder, never steers it: the span hook passed to
+    /// [`cheri_sweep::run`] here is the only difference from the batch
+    /// path, which runs the same function with none.
     ///
     /// # Errors
     ///
@@ -291,13 +292,10 @@ impl JobEngine {
                 }
             }
             if self.warm {
-                let block_cache = spec.machine_config().block_cache;
-                let mut phases = PhaseRecorder::new(&self.telem, ctx, Origin::Warm.name());
-                let result =
-                    run_spec_resume_spanned(spec, &entry.snapshot, block_cache, &mut |n, b| {
-                        phases.note(n, b);
-                    })?;
-                let rec = JobRecord::from_result(&result);
+                let resume =
+                    RunOpts { start: Start::Resume(&entry.snapshot), ..RunOpts::default() };
+                let out = self.observed_run(spec, ctx, Origin::Warm, resume)?;
+                let rec = JobRecord::from_result(&out.result);
                 if use_cache {
                     self.cache.store(key, &rec);
                 }
@@ -306,12 +304,10 @@ impl JobEngine {
                 return Ok((rec, Origin::Warm));
             }
         }
-        let mut phases = PhaseRecorder::new(&self.telem, ctx, Origin::Cold.name());
-        let (result, snap) = run_spec_split_spanned(spec, spec.machine_config(), &mut |n, b| {
-            phases.note(n, b);
-        })?;
-        let rec = JobRecord::from_result(&result);
-        let hash = match snap {
+        let cold = RunOpts { capture: Capture::Phase2, ..RunOpts::default() };
+        let out = self.observed_run(spec, ctx, Origin::Cold, cold)?;
+        let rec = JobRecord::from_result(&out.result);
+        let hash = match out.snapshot {
             Some(snap) => self.pool.insert(canon.clone(), snap).hash,
             None => NO_SNAPSHOT,
         };
@@ -321,6 +317,19 @@ impl JobEngine {
         self.cold_runs.fetch_add(1, Ordering::Relaxed);
         self.telem.job_finished(Origin::Cold, elapsed_us(t0));
         Ok((rec, Origin::Cold))
+    }
+
+    /// Runs `spec` with `opts`, recording its phase spans and histograms
+    /// under `ctx`, each tagged with `origin`.
+    fn observed_run(
+        &self,
+        spec: &JobSpec,
+        ctx: JobCtx,
+        origin: Origin,
+        opts: RunOpts<'_>,
+    ) -> Result<RunOutput, String> {
+        let mut phases = PhaseRecorder::new(&self.telem, ctx, origin.name());
+        run(spec, RunOpts { span: Some(&mut |p, b| phases.note(p, b)), ..opts })
     }
 
     /// Re-executes one job from its pooled snapshot, bypassing the
@@ -341,14 +350,11 @@ impl JobEngine {
         let entry = self.pool.get(&canon).ok_or_else(|| {
             format!("no pooled snapshot for {} (run it once or prewarm)", spec.key())
         })?;
-        let block_cache = spec.machine_config().block_cache;
-        let mut phases = PhaseRecorder::new(&self.telem, ctx, Origin::Warm.name());
-        let result = run_spec_resume_spanned(spec, &entry.snapshot, block_cache, &mut |n, b| {
-            phases.note(n, b);
-        })?;
+        let resume = RunOpts { start: Start::Resume(&entry.snapshot), ..RunOpts::default() };
+        let out = self.observed_run(spec, ctx, Origin::Warm, resume)?;
         self.warm_runs.fetch_add(1, Ordering::Relaxed);
         self.telem.job_finished(Origin::Warm, elapsed_us(t0));
-        Ok((JobRecord::from_result(&result), entry.hash))
+        Ok((JobRecord::from_result(&out.result), entry.hash))
     }
 
     /// Runs one job cold with the guest profiler attached and returns
@@ -362,10 +368,11 @@ impl JobEngine {
     pub fn execute_profiled(&self, spec: &JobSpec) -> Result<(JobRecord, String), String> {
         let t0 = Instant::now();
         self.jobs.fetch_add(1, Ordering::Relaxed);
-        let (result, profile) = run_spec_profiled(spec, spec.machine_config())?;
+        let out = run(spec, RunOpts { profile: true, ..RunOpts::default() })?;
+        let profile = out.profile.expect("a profiled run returns its profile");
         self.cold_runs.fetch_add(1, Ordering::Relaxed);
         self.telem.job_finished(Origin::Cold, elapsed_us(t0));
-        Ok((JobRecord::from_result(&result), profile.to_json()))
+        Ok((JobRecord::from_result(&out.result), profile.to_json()))
     }
 
     /// Fills the pool with phase-2 pre-boots for every job of `profile`
@@ -535,7 +542,7 @@ pub fn transparency_gate(
     let stop = Stop::new(false);
     let served = run_profile(engine, workers, profile, true, &stop, 0, |_, _, _, _| {})?
         .ok_or("served sweep aborted unexpectedly")?;
-    let batch = run_matrix(profile, workers.workers());
+    let batch = run_matrix(profile, workers.workers())?;
     verify_against_batch(&served, &batch)?;
     Ok(served)
 }
@@ -547,15 +554,7 @@ pub fn transparency_gate(
 ///
 /// Names the first diverging job.
 pub fn verify_against_batch(served: &SweepReport, batch: &SweepReport) -> Result<(), String> {
-    if served.to_json() == batch.to_json() {
-        return Ok(());
-    }
-    let key = served
-        .jobs
-        .iter()
-        .zip(&batch.jobs)
-        .find(|(a, b)| a != b)
-        .map_or_else(|| "<report>".to_string(), |(a, _)| a.key.clone());
+    let Some(key) = served.first_difference(batch) else { return Ok(()) };
     Err(format!(
         "served report diverges from the cold batch report (first diverging job: {key}) — \
          serving must be transparent; triage with snapreplay"

@@ -481,8 +481,9 @@ fn handle_sweep(
     if verify {
         // The in-process transparency gate: the same matrix through the
         // cold batch path must serialise byte-identically.
-        let batch = cheri_sweep::run_matrix(profile, shared.workers.workers());
-        if let Err(message) = verify_against_batch(&report, &batch) {
+        let verified = cheri_sweep::run_matrix(profile, shared.workers.workers())
+            .and_then(|batch| verify_against_batch(&report, &batch));
+        if let Err(message) = verified {
             return fail(writer, message);
         }
     }

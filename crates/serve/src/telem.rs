@@ -9,12 +9,12 @@
 //! see the table in DESIGN.md §4i.
 //!
 //! Telemetry must never perturb served results. That holds by
-//! construction: the engine's runners are the *same functions* whether
-//! observed or not (`run_spec_split_spanned` with a no-op hook *is*
-//! `run_spec_split`), all metrics are derived from host clocks and
-//! counters outside the simulator, and a [`ServiceTelem`] constructed
-//! disabled turns every operation into a no-op — the detached half of
-//! the overhead A/B in EXPERIMENTS.md.
+//! construction: the engine runs the *same function* whether observed
+//! or not ([`cheri_sweep::run`], with or without a span hook), all
+//! metrics are derived from host clocks and counters outside the
+//! simulator, and a [`ServiceTelem`] constructed disabled turns every
+//! operation into a no-op — the detached half of the overhead A/B in
+//! EXPERIMENTS.md.
 
 use crate::protocol::Origin;
 use cheri_telem::{SpanLog, SpanPhase, TelemRegistry};
@@ -219,23 +219,27 @@ impl ServiceTelem {
     }
 }
 
-/// Adapts the sweep runners' span hook (`(phase_name, is_begin)`) to
-/// the span log and the phase histograms: begin events start a host
-/// timer and open the span; end events close it (tagged with the job's
+/// Adapts the sweep runner's span hook (`(phase, is_begin)`) to the
+/// span log and the phase histograms: begin events start a host timer
+/// and open the span; end events close it (tagged with the job's
 /// origin) and record the duration with its counter in one batch.
 pub struct PhaseRecorder<'a> {
     telem: &'a ServiceTelem,
     ctx: JobCtx,
     origin_tag: &'static str,
-    started: Vec<(&'static str, Instant)>,
+    /// Begin times of the open spans (the runner's spans nest, so the
+    /// last one is the next to end).
+    started: Vec<Instant>,
 }
 
-fn phase_metrics(name: &str) -> Option<(SpanPhase, &'static str, &'static str)> {
-    Some(match name {
-        "boot" => (SpanPhase::Boot, BOOTS, BOOT_US),
-        "restore" => (SpanPhase::Restore, RESTORES, RESTORE_US),
-        "simulate" => (SpanPhase::Simulate, SIMULATES, SIMULATE_US),
-        _ => return None,
+/// The (counter, histogram) pair a job phase records into; `None` for
+/// phases the runner never emits.
+fn phase_metrics(phase: SpanPhase) -> Option<(&'static str, &'static str)> {
+    Some(match phase {
+        SpanPhase::Boot => (BOOTS, BOOT_US),
+        SpanPhase::Restore => (RESTORES, RESTORE_US),
+        SpanPhase::Simulate => (SIMULATES, SIMULATE_US),
+        SpanPhase::Request | SpanPhase::Queue | SpanPhase::Serialize => return None,
     })
 }
 
@@ -250,23 +254,18 @@ impl<'a> PhaseRecorder<'a> {
         PhaseRecorder { telem, ctx, origin_tag, started: Vec::new() }
     }
 
-    /// The hook body: pass `&mut |name, begin| rec.note(name, begin)`
-    /// to a `*_spanned` runner.
-    pub fn note(&mut self, name: &'static str, begin: bool) {
+    /// The hook body: pass `Some(&mut |phase, begin| rec.note(phase,
+    /// begin))` as [`cheri_sweep::RunOpts::span`].
+    pub fn note(&mut self, phase: SpanPhase, begin: bool) {
         if !self.telem.enabled() {
             return;
         }
-        let Some((phase, counter, hist)) = phase_metrics(name) else { return };
+        let Some((counter, hist)) = phase_metrics(phase) else { return };
         if begin {
-            self.started.push((name, Instant::now()));
+            self.started.push(Instant::now());
             self.telem.spans.begin(phase, self.ctx.req, self.ctx.job);
         } else {
-            let us = self
-                .started
-                .iter()
-                .rposition(|(n, _)| *n == name)
-                .map(|i| elapsed_us(self.started.remove(i).1))
-                .unwrap_or(0);
+            let us = self.started.pop().map_or(0, elapsed_us);
             self.telem.spans.end_tagged(phase, self.ctx.req, self.ctx.job, self.origin_tag);
             self.telem.registry.batch(|b| {
                 b.add(counter, 1);
@@ -285,10 +284,10 @@ mod tests {
         let telem = ServiceTelem::new(true);
         let ctx = JobCtx { req: 5, job: 1 };
         let mut rec = PhaseRecorder::new(&telem, ctx, "warm");
-        rec.note("restore", true);
-        rec.note("restore", false);
-        rec.note("simulate", true);
-        rec.note("simulate", false);
+        rec.note(SpanPhase::Restore, true);
+        rec.note(SpanPhase::Restore, false);
+        rec.note(SpanPhase::Simulate, true);
+        rec.note(SpanPhase::Simulate, false);
         telem.job_finished(Origin::Warm, 1234);
         telem.spans().check_balance().unwrap();
         let snap = telem.registry().snapshot();
@@ -305,12 +304,39 @@ mod tests {
     fn disabled_telem_is_inert() {
         let telem = ServiceTelem::new(false);
         let mut rec = PhaseRecorder::new(&telem, JobCtx::default(), "cold");
-        rec.note("boot", true);
-        rec.note("boot", false);
+        rec.note(SpanPhase::Boot, true);
+        rec.note(SpanPhase::Boot, false);
         telem.job_finished(Origin::Cold, 9);
         let out = telem.serialize_span(1, || 42);
         assert_eq!(out, 42);
         assert!(telem.spans().is_empty());
         assert_eq!(telem.registry().snapshot(), cheri_telem::TelemSnapshot::default());
+    }
+
+    #[test]
+    fn failed_resume_still_balances_its_spans() {
+        use cheri_sweep::{run, Capture, JobSpec, RunOpts, Start, StrategyKind};
+        let spec = JobSpec::new(
+            cheri_work::Workload::Treeadd,
+            StrategyKind::Mips,
+            cheri_olden::OldenParams::scaled(),
+        );
+        let cold = run(&spec, RunOpts { capture: Capture::Phase2, ..RunOpts::default() });
+        let mut snap = cold.unwrap().snapshot.expect("treeadd reaches phase 2");
+        snap.kernel = None; // machine-only: the kernel cannot resume it
+        let telem = ServiceTelem::new(true);
+        let mut rec = PhaseRecorder::new(&telem, JobCtx::single(3), "warm");
+        let out = run(
+            &spec,
+            RunOpts {
+                start: Start::Resume(&snap),
+                span: Some(&mut |p, b| rec.note(p, b)),
+                ..RunOpts::default()
+            },
+        );
+        assert!(out.unwrap_err().contains("machine-only"), "restore must fail");
+        telem.spans().check_balance().unwrap();
+        assert_eq!(telem.spans().events().len(), 2, "one restore span, no simulate span");
+        assert_eq!(telem.registry().snapshot().counter(RESTORES), 1);
     }
 }

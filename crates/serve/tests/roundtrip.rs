@@ -32,7 +32,7 @@ fn served_sweep_is_byte_identical_to_batch() {
         })
         .unwrap();
     assert!(!verified);
-    let batch = run_matrix(Profile::Smoke, 2).to_json();
+    let batch = run_matrix(Profile::Smoke, 2).unwrap().to_json();
     assert_eq!(served, batch, "served sweep must reproduce the batch report byte-for-byte");
     assert_eq!(seen as usize, cheri_sweep::profile_matrix(Profile::Smoke).len());
 
@@ -64,7 +64,7 @@ fn single_job_record_matches_its_report_line() {
     let (addr, handle) = spawn_server(ServerConfig { workers: 2, ..ServerConfig::default() });
     let mut client = Client::connect(&addr).unwrap();
 
-    let batch = run_matrix(Profile::Smoke, 2);
+    let batch = run_matrix(Profile::Smoke, 2).unwrap();
     let parts = cheri_serve::JobParts {
         workload: "treeadd".into(),
         strategy: "cheri".into(),
@@ -89,7 +89,7 @@ fn served_new_workload_jobs_match_batch_lines() {
     let (addr, handle) = spawn_server(ServerConfig { workers: 2, ..ServerConfig::default() });
     let mut client = Client::connect(&addr).unwrap();
 
-    let batch = run_matrix(Profile::Smoke, 2);
+    let batch = run_matrix(Profile::Smoke, 2).unwrap();
     for (workload, strategy) in [("vmloop", "cheri128"), ("allocstress", "mips")] {
         let parts = cheri_serve::JobParts {
             workload: workload.into(),

@@ -531,42 +531,21 @@ impl Machine {
     pub fn step(&mut self) -> Result<StepResult, MemError> {
         let pc = self.cpu.pc;
 
-        // Instruction fetch: PCC check (Execute-stage validation per
-        // Section 4.4), translation, I-cache, memory.
-        if let Err(c) = self.cpu.caps.pcc().check_execute(pc) {
-            return Ok(self.trap(
-                TrapKind::CapViolation(c.with_reg(cheri_core::exception::PCC_FAULT_REG)),
-                Some(pc),
-            ));
-        }
-        let (ppc, _) = match self.translate(pc, false, true) {
-            Ok(t) => t,
-            Err(kind) => return Ok(self.trap(kind, Some(pc))),
+        // Instruction fetch: PCC check and translation, I-cache, memory.
+        let ppc = match self.fetch_paddr(pc) {
+            Ok(ppc) => ppc,
+            Err(trap) => return Ok(trap),
         };
         self.stats.cycles += self.hierarchy.fetch(ppc);
         let word = self.mem.read_u32(ppc)?;
         let inst = decode(word);
 
         let outcome = self.execute(&inst)?;
-
-        // Retire.
-        match outcome {
-            Outcome::Trap { kind, badvaddr } => return Ok(self.trap(kind, badvaddr)),
-            Outcome::Syscall => {
-                self.stats.syscalls += 1;
-                let _ = self.trap(TrapKind::Syscall { code: 0 }, None);
-                // Keep PC at the syscall; the kernel resumes via
-                // advance_past_trap(). Reported as its own variant for
-                // ergonomic dispatch.
-                return Ok(StepResult::Syscall);
-            }
-            Outcome::Break(code) => {
-                let _ = self.trap(TrapKind::Break { code }, None);
-                return Ok(StepResult::Break(code));
-            }
-            _ => {}
+        if let Some(exit) = self.take_exit(outcome) {
+            return Ok(exit);
         }
 
+        // Retire.
         self.stats.instructions += 1;
         self.stats.cycles += 1;
         self.cpu.cp0.count = self.cpu.cp0.count.wrapping_add(1);
@@ -578,7 +557,62 @@ impl Machine {
         if self.prof.is_some() {
             self.prof_retire(pc, &inst, &outcome);
         }
+        self.transfer(outcome);
+        Ok(StepResult::Continue)
+    }
 
+    /// The fetch-side validation shared by [`Machine::step`] (per
+    /// instruction) and the block loop (per block entry): the PCC
+    /// execute check (Execute-stage validation per Section 4.4) and the
+    /// instruction-fetch translation of `pc`. Returns the physical fetch
+    /// address, or the trap either raised. These three retire/fetch
+    /// helpers are forced inline: left to the optimiser, `fetch_paddr`
+    /// stayed out of line and the dispatch-bound workloads slowed down.
+    #[inline(always)]
+    fn fetch_paddr(&mut self, pc: u64) -> Result<u64, StepResult> {
+        if let Err(c) = self.cpu.caps.pcc().check_execute(pc) {
+            let cause = c.with_reg(cheri_core::exception::PCC_FAULT_REG);
+            return Err(self.trap(TrapKind::CapViolation(cause), Some(pc)));
+        }
+        match self.translate(pc, false, true) {
+            Ok((ppc, _)) => Ok(ppc),
+            Err(kind) => Err(self.trap(kind, Some(pc))),
+        }
+    }
+
+    /// The exit half of retirement, shared by [`Machine::step`] and the
+    /// block loop: delivers a trap, syscall, or break outcome (the PC
+    /// stays at the faulting/trapping instruction; the kernel resumes a
+    /// syscall via [`Machine::advance_past_trap`]) and returns how the
+    /// run stops, or `None` for a control-transfer outcome.
+    #[inline(always)]
+    fn take_exit(&mut self, outcome: Outcome) -> Option<StepResult> {
+        match outcome {
+            Outcome::Trap { kind, badvaddr } => Some(self.trap(kind, badvaddr)),
+            Outcome::Syscall => {
+                self.stats.syscalls += 1;
+                let _ = self.trap(TrapKind::Syscall { code: 0 }, None);
+                Some(StepResult::Syscall)
+            }
+            Outcome::Break(code) => {
+                let _ = self.trap(TrapKind::Break { code }, None);
+                Some(StepResult::Break(code))
+            }
+            Outcome::Next
+            | Outcome::Branch { .. }
+            | Outcome::Jump { .. }
+            | Outcome::CapJump { .. } => None,
+        }
+    }
+
+    /// The control-transfer half of retirement, shared by
+    /// [`Machine::step`] and the block loop: advances PC/next-PC through
+    /// the delay slot and charges branch and jump penalties. Returns
+    /// whether the PCC changed (a capability jump), which ends a block.
+    /// Exit outcomes never get here — [`Machine::take_exit`] consumed
+    /// them.
+    #[inline(always)]
+    fn transfer(&mut self, outcome: Outcome) -> bool {
         let fallthrough = self.cpu.next_pc;
         match outcome {
             Outcome::Next => {
@@ -607,10 +641,11 @@ impl Machine {
                 self.stats.cycles += INDIRECT_JUMP_PENALTY;
                 self.cpu.caps.set_pcc(pcc);
                 self.cpu.jump_to(target);
+                return true;
             }
             Outcome::Trap { .. } | Outcome::Syscall | Outcome::Break(_) => unreachable!(),
         }
-        Ok(StepResult::Continue)
+        false
     }
 
     /// Runs until a syscall, break, trap, or `max_steps` instructions.
@@ -649,15 +684,9 @@ impl Machine {
         let mut remaining = max_steps;
         while remaining > 0 {
             let pc = self.cpu.pc;
-            if let Err(c) = self.cpu.caps.pcc().check_execute(pc) {
-                return Ok(self.trap(
-                    TrapKind::CapViolation(c.with_reg(cheri_core::exception::PCC_FAULT_REG)),
-                    Some(pc),
-                ));
-            }
-            let (ppc, _) = match self.translate(pc, false, true) {
-                Ok(t) => t,
-                Err(kind) => return Ok(self.trap(kind, Some(pc))),
+            let ppc = match self.fetch_paddr(pc) {
+                Ok(ppc) => ppc,
+                Err(trap) => return Ok(trap),
             };
             let block = match self.blocks.take_valid(ppc) {
                 Some(b) => b,
@@ -775,51 +804,11 @@ impl Machine {
                     return Err(e);
                 }
             };
-            let fallthrough = self.cpu.next_pc;
-            let mut pcc_changed = false;
-            match outcome {
-                Outcome::Next => {
-                    self.cpu.pc = fallthrough;
-                    self.cpu.next_pc = fallthrough.wrapping_add(4);
-                }
-                Outcome::Branch { target, taken, predicted } => {
-                    self.stats.branches += 1;
-                    if predicted != taken {
-                        self.stats.mispredicts += 1;
-                        self.stats.cycles += MISPREDICT_PENALTY;
-                    }
-                    self.cpu.pc = fallthrough;
-                    self.cpu.next_pc = if taken { target } else { fallthrough.wrapping_add(4) };
-                }
-                Outcome::Jump { target, indirect } => {
-                    if indirect {
-                        self.stats.cycles += INDIRECT_JUMP_PENALTY;
-                    }
-                    self.cpu.pc = fallthrough;
-                    self.cpu.next_pc = target;
-                }
-                Outcome::CapJump { target, pcc } => {
-                    self.stats.cycles += INDIRECT_JUMP_PENALTY;
-                    self.cpu.caps.set_pcc(pcc);
-                    self.cpu.jump_to(target);
-                    pcc_changed = true;
-                }
-                Outcome::Trap { kind, badvaddr } => {
-                    flush!();
-                    return Ok((retired, Some(self.trap(kind, badvaddr))));
-                }
-                Outcome::Syscall => {
-                    flush!();
-                    self.stats.syscalls += 1;
-                    let _ = self.trap(TrapKind::Syscall { code: 0 }, None);
-                    return Ok((retired, Some(StepResult::Syscall)));
-                }
-                Outcome::Break(code) => {
-                    flush!();
-                    let _ = self.trap(TrapKind::Break { code }, None);
-                    return Ok((retired, Some(StepResult::Break(code))));
-                }
+            if let Some(exit) = self.take_exit(outcome) {
+                flush!();
+                return Ok((retired, Some(exit)));
             }
+            let pcc_changed = self.transfer(outcome);
 
             // Retire (batched; `cp0.count` stays per-instruction exact
             // because `MFC0` can read it mid-block).

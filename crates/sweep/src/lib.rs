@@ -6,8 +6,9 @@
 //!
 //! * [`matrix`] — the canonical axes ([`StrategyKind`], the per-figure
 //!   strategy lists, [`heapsize_sweep`], [`profile_matrix`]) and the
-//!   job runner ([`run_specs`]), so every harness iterates the same
-//!   lists in the same order;
+//!   one job runner ([`run`] with its [`RunOpts`], and the parallel
+//!   [`run_many`]), so every harness iterates the same lists in the same
+//!   order and executes them the same way;
 //! * [`engine`] — a deterministic work-stealing executor: each job owns
 //!   its own `Machine`, workers steal indices from an atomic cursor,
 //!   and results are reassembled in index order, so output is
@@ -30,10 +31,8 @@ pub mod report;
 pub use check::{check_reports, comparisons, render_drifts, tolerance_for, Drift, Tolerance};
 pub use engine::{default_threads, run_indexed};
 pub use matrix::{
-    heapsize_sweep, profile_matrix, run_spec_final_snap, run_spec_profiled, run_spec_resume,
-    run_spec_resume_spanned, run_spec_split, run_spec_split_spanned, run_spec_with_config,
-    run_spec_with_sink, run_specs, run_specs_block_cache, run_specs_profiled, run_specs_traced,
-    JobResult, JobSpec, Profile, StrategyKind, CAPWIDTH_STRATEGIES, DEFAULT_TAG_CACHE_KB,
+    heapsize_sweep, profile_matrix, run, run_many, run_spec_with_sink, Capture, JobResult, JobSpec,
+    Profile, RunOpts, RunOutput, Start, StrategyKind, CAPWIDTH_STRATEGIES, DEFAULT_TAG_CACHE_KB,
     ELISION_STRATEGIES, FIGURE4_STRATEGIES, HEAPSIZE_STRATEGIES, TAG_ABLATION_KB,
     WARM_SNAPSHOT_PHASE,
 };
@@ -41,9 +40,12 @@ pub use report::{hit_rate_bp, JobRecord, SweepReport, ARCH_COUNTERS, SCHEMA_VERS
 
 /// Runs a whole profile at the given thread count and returns the
 /// report (the library form of `xsweep`'s default mode).
-#[must_use]
-pub fn run_matrix(profile: Profile, threads: usize) -> SweepReport {
-    let specs = profile_matrix(profile);
-    let results = run_specs(&specs, threads);
-    SweepReport::from_results(profile.name(), &results)
+///
+/// # Errors
+///
+/// The first failed job's error, prefixed with its key.
+pub fn run_matrix(profile: Profile, threads: usize) -> Result<SweepReport, String> {
+    let outs = run_many(&profile_matrix(profile), threads, |_| RunOpts::default());
+    let results = outs.into_iter().map(|r| r.map(|o| o.result)).collect::<Result<Vec<_>, _>>()?;
+    Ok(SweepReport::from_results(profile.name(), &results))
 }

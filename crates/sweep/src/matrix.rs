@@ -10,6 +10,8 @@ use beri_sim::MachineConfig;
 use cheri_cc::strategy::{CapPtr, LegacyPtr, PtrStrategy, SoftFatPtr};
 use cheri_olden::dsl::{BenchRun, BenchSession};
 use cheri_olden::OldenParams;
+use cheri_snap::Snapshot;
+use cheri_telem::SpanPhase;
 use cheri_trace::{marker, SharedSink};
 use cheri_work::{machine_config, Workload};
 
@@ -237,252 +239,173 @@ pub struct JobResult {
     pub run: BenchRun,
 }
 
-/// Runs one job on a fresh kernel/machine, optionally streaming events
-/// into `sink` (preceded by the historical `run start:` marker).
-///
-/// # Errors
-///
-/// Returns the compile/OS error rendered as a string (job context is
-/// added by the callers).
-pub fn run_spec_with_sink(spec: &JobSpec, sink: Option<SharedSink>) -> Result<JobResult, String> {
-    run_spec_with_config(spec, spec.machine_config(), sink)
-}
-
-/// As [`run_spec_with_sink`] with an explicit machine configuration —
-/// the hook the throughput harnesses use to pin simulator-internal
-/// knobs (like [`MachineConfig::block_cache`]) that are not part of the
-/// experiment matrix.
-///
-/// # Errors
-///
-/// As [`run_spec_with_sink`].
-pub fn run_spec_with_config(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-    sink: Option<SharedSink>,
-) -> Result<JobResult, String> {
-    if sink.is_some() {
-        marker(&sink, &format!("run start: {}", spec.marker_label()));
-    }
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    let mut session = BenchSession::start_module(&module, strategy.as_ref(), cfg, sink)
-        .map_err(|e| e.to_string())?;
-    let run = session.run_to_completion().map_err(|e| e.to_string())?;
-    Ok(JobResult { spec: *spec, run })
-}
-
 /// The phase id at which warm-start snapshots are taken. Every Olden
 /// workload issues `SYS_PHASE 2` when its computation phase begins, so
 /// a snapshot here has compilation, exec, and allocation already paid
 /// for — the warm pass replays only the computation.
 pub const WARM_SNAPSHOT_PHASE: u64 = 2;
 
-/// Cold run of one job that *also* captures the warm-start snapshot at
-/// the phase-2 (allocation → computation) boundary. Returns the full
-/// cold result plus the snapshot, or `None` if the workload exited
-/// before ever reaching the phase (the result is then complete anyway).
-///
-/// # Errors
-///
-/// As [`run_spec_with_config`].
-pub fn run_spec_split(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-) -> Result<(JobResult, Option<cheri_snap::Snapshot>), String> {
-    run_spec_split_spanned(spec, cfg, &mut |_, _| {})
+/// Where a [`run`] starts.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Start<'a> {
+    /// Compile the workload, boot a fresh kernel/machine, and exec it.
+    #[default]
+    Cold,
+    /// Restore a [`Capture::Phase2`] snapshot and run the remainder,
+    /// byte-identically to the cold run it came from (`xsweep --warm`).
+    Resume(&'a Snapshot),
 }
 
-/// As [`run_spec_split`], invoking `span(phase, is_begin)` around the
-/// run's phases — `"boot"` covers module start through the phase-2
-/// boundary, `"simulate"` the measured remainder. Ends are emitted on
-/// error paths too, so a span stream built from the hook always
-/// balances. The unspanned form delegates here with a no-op hook: there
-/// is one execution path, observed or not, which is what keeps
-/// telemetry out of the byte-identity argument.
+/// Which machine+kernel snapshot a [`run`] captures into
+/// [`RunOutput::snapshot`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Capture {
+    /// No snapshot.
+    #[default]
+    None,
+    /// The warm-start snapshot at a cold run's [`WARM_SNAPSHOT_PHASE`]
+    /// boundary (absent if the workload exits before it).
+    Phase2,
+    /// The final state — the divergence artifact a failed gate writes.
+    Final,
+}
+
+/// How [`run`] executes one job. Every field is an observation or a
+/// host-side choice; none changes the job's architectural results.
+#[derive(Default)]
+pub struct RunOpts<'a> {
+    /// Forces the predecoded block cache on or off (`None`:
+    /// [`MachineConfig::default`]'s environment-driven setting).
+    pub block_cache: Option<bool>,
+    /// Streams every event of a cold run into this sink, after a
+    /// `run start:` marker.
+    pub sink: Option<SharedSink>,
+    /// Profiles a whole cold run into [`RunOutput::profile`].
+    pub profile: bool,
+    /// Cold boot or warm resume.
+    pub start: Start<'a>,
+    /// Which snapshot to capture.
+    pub capture: Capture,
+    /// Called as `span(phase, is_begin)`: [`SpanPhase::Boot`] (through
+    /// the phase-2 boundary under [`Capture::Phase2`]) or
+    /// [`SpanPhase::Restore`], then [`SpanPhase::Simulate`]. Ends are
+    /// emitted on error paths too, so the spans always balance.
+    pub span: Option<&'a mut dyn FnMut(SpanPhase, bool)>,
+}
+
+/// What [`run`] produced.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// The job and its measured run.
+    pub result: JobResult,
+    /// The snapshot [`RunOpts::capture`] asked for, if it was reached.
+    pub snapshot: Option<Snapshot>,
+    /// The finished profile, when [`RunOpts::profile`] was set.
+    pub profile: Option<cheri_prof::ProfileReport>,
+}
+
+/// Runs one job — the single execution path behind every sweep mode,
+/// figure harness, and served request. An unobserved run is the same
+/// call without a span hook, which keeps telemetry out of the
+/// byte-identity argument.
 ///
 /// # Errors
 ///
-/// As [`run_spec_with_config`].
-pub fn run_spec_split_spanned(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-    span: &mut dyn FnMut(&'static str, bool),
-) -> Result<(JobResult, Option<cheri_snap::Snapshot>), String> {
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    span("boot", true);
-    let booted = BenchSession::start_module(&module, strategy.as_ref(), cfg, None)
-        .map_err(|e| e.to_string())
-        .and_then(|mut session| {
-            let early = session.run_until_phase(WARM_SNAPSHOT_PHASE).map_err(|e| e.to_string())?;
-            Ok((session, early))
-        });
-    span("boot", false);
-    let (mut session, early) = booted?;
-    match early {
-        Some(run) => Ok((JobResult { spec: *spec, run }, None)),
+/// The compile/OS/restore error as a string (callers add the job key),
+/// or a usage error if a resumed run asks for a profiler, a trace sink,
+/// or a phase-2 capture.
+pub fn run(spec: &JobSpec, opts: RunOpts<'_>) -> Result<RunOutput, String> {
+    let RunOpts { block_cache, sink, profile, start, capture, span } = opts;
+    let mut unobserved = |_: SpanPhase, _: bool| {};
+    let span = span.unwrap_or(&mut unobserved);
+    let phase = match start {
+        Start::Cold => SpanPhase::Boot,
+        Start::Resume(_) => SpanPhase::Restore,
+    };
+    span(phase, true);
+    let started = start_session(spec, block_cache, sink, profile, start, capture);
+    span(phase, false);
+    let (mut session, early) = started?;
+    let (run, snapshot) = match early {
+        Some(run) => (run, None),
         None => {
-            let snap = session.snapshot();
-            span("simulate", true);
+            let phase2 = (capture == Capture::Phase2).then(|| session.snapshot());
+            span(SpanPhase::Simulate, true);
             let run = session.run_to_completion().map_err(|e| e.to_string());
-            span("simulate", false);
-            Ok((JobResult { spec: *spec, run: run? }, Some(snap)))
+            span(SpanPhase::Simulate, false);
+            let run = run?;
+            (run, if capture == Capture::Final { Some(session.snapshot()) } else { phase2 })
+        }
+    };
+    let profile = if profile {
+        Some(session.take_profile().ok_or("profiled session lost its profiler")?)
+    } else {
+        None
+    };
+    Ok(RunOutput { result: JobResult { spec: *spec, run }, snapshot, profile })
+}
+
+/// The part of [`run`] inside its first span: a cold boot (through the
+/// phase-2 boundary under [`Capture::Phase2`], returning the finished run
+/// if the workload exits first) or a snapshot restore.
+fn start_session(
+    spec: &JobSpec,
+    block_cache: Option<bool>,
+    sink: Option<SharedSink>,
+    profile: bool,
+    start: Start<'_>,
+    capture: Capture,
+) -> Result<(BenchSession, Option<BenchRun>), String> {
+    let mut cfg = spec.machine_config();
+    cfg.block_cache = block_cache.unwrap_or(cfg.block_cache);
+    match start {
+        Start::Cold => {
+            if sink.is_some() {
+                marker(&sink, &format!("run start: {}", spec.marker_label()));
+            }
+            let strategy = spec.strategy.strategy();
+            let module = spec.workload.module(&spec.params);
+            let mut session = BenchSession::boot(&module, strategy.as_ref(), cfg, sink, profile)
+                .map_err(|e| e.to_string())?;
+            let early = match capture {
+                Capture::Phase2 => session.run_until_phase(WARM_SNAPSHOT_PHASE),
+                Capture::None | Capture::Final => Ok(None),
+            };
+            Ok((session, early.map_err(|e| e.to_string())?))
+        }
+        Start::Resume(_) if profile || sink.is_some() || capture == Capture::Phase2 => {
+            Err("a resumed run cannot attach a profiler or a trace sink, or capture phase 2".into())
+        }
+        Start::Resume(snap) => {
+            let session = BenchSession::resume(snap, spec.strategy.name(), cfg.block_cache);
+            Ok((session.map_err(|e| e.to_string())?, None))
         }
     }
 }
 
-/// Warm run of one job: restores a [`run_spec_split`] snapshot and runs
-/// the remainder. The result must be byte-identical to the cold run the
-/// snapshot came from — `xsweep --warm` asserts this in-process.
-///
-/// # Errors
-///
-/// As [`run_spec_with_config`], plus snapshot-restore failures.
-pub fn run_spec_resume(
-    spec: &JobSpec,
-    snap: &cheri_snap::Snapshot,
-    block_cache: bool,
-) -> Result<JobResult, String> {
-    run_spec_resume_spanned(spec, snap, block_cache, &mut |_, _| {})
-}
-
-/// As [`run_spec_resume`], invoking `span(phase, is_begin)` around the
-/// run's phases — `"restore"` covers the snapshot restore, `"simulate"`
-/// the resumed remainder. See [`run_spec_split_spanned`] for the
-/// balance and single-code-path guarantees.
-///
-/// # Errors
-///
-/// As [`run_spec_resume`].
-pub fn run_spec_resume_spanned(
-    spec: &JobSpec,
-    snap: &cheri_snap::Snapshot,
-    block_cache: bool,
-    span: &mut dyn FnMut(&'static str, bool),
-) -> Result<JobResult, String> {
-    span("restore", true);
-    let restored =
-        BenchSession::resume(snap, spec.strategy.name(), block_cache).map_err(|e| e.to_string());
-    span("restore", false);
-    let mut session = restored?;
-    span("simulate", true);
-    let run = session.run_to_completion().map_err(|e| e.to_string());
-    span("simulate", false);
-    Ok(JobResult { spec: *spec, run: run? })
-}
-
-/// Runs one job to completion and returns the result together with the
-/// *final* machine+kernel snapshot — the divergence artifact written
-/// under `results/` when a sweep gate or transparency assert fails.
-///
-/// # Errors
-///
-/// As [`run_spec_with_config`].
-pub fn run_spec_final_snap(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-) -> Result<(JobResult, cheri_snap::Snapshot), String> {
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    let mut session = BenchSession::start_module(&module, strategy.as_ref(), cfg, None)
-        .map_err(|e| e.to_string())?;
-    let run = session.run_to_completion().map_err(|e| e.to_string())?;
-    let snap = session.snapshot();
-    Ok((JobResult { spec: *spec, run }, snap))
-}
-
 /// Runs `specs` across `threads` worker threads (each job owns its own
-/// machine) and returns results in spec order, independent of thread
-/// count and scheduling.
-///
-/// # Panics
-///
-/// Panics with the job key if any job fails — a failed run on the
-/// canonical matrix is a harness bug, not a reportable datum.
-#[must_use]
-pub fn run_specs(specs: &[JobSpec], threads: usize) -> Vec<JobResult> {
+/// machine; `opts(spec)` builds each job's options on its worker) and
+/// returns one result per spec, in spec order, independent of thread
+/// count and scheduling. A failed job's error is prefixed with its key
+/// and leaves every other job's result untouched.
+pub fn run_many<'a, F>(specs: &[JobSpec], threads: usize, opts: F) -> Vec<Result<RunOutput, String>>
+where
+    F: Fn(&JobSpec) -> RunOpts<'a> + Sync,
+{
     engine::run_indexed(specs.len(), threads, |i| {
         let spec = &specs[i];
-        run_spec_with_sink(spec, None).unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
+        run(spec, opts(spec)).map_err(|e| format!("{}: {e}", spec.key()))
     })
 }
 
-/// As [`run_specs`], but with the simulator's predecoded block cache
-/// forced on or off (instead of [`MachineConfig::default`]'s
-/// environment-driven setting). The block cache is architecturally
-/// transparent, so results must not depend on `enabled` — `xsweep
-/// --perf` runs both and insists the reports are identical.
-///
-/// # Panics
-///
-/// As [`run_specs`].
-#[must_use]
-pub fn run_specs_block_cache(specs: &[JobSpec], threads: usize, enabled: bool) -> Vec<JobResult> {
-    engine::run_indexed(specs.len(), threads, |i| {
-        let spec = &specs[i];
-        let cfg = MachineConfig { block_cache: enabled, ..spec.machine_config() };
-        run_spec_with_config(spec, cfg, None).unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-    })
-}
-
-/// Runs one job to completion with a [`cheri_prof::Profiler`] attached
-/// (symbolized, covering the whole run), returning the result plus the
-/// finished profile. Profiling is observational only, so the
-/// [`JobResult`] must be byte-identical to an unprofiled run of the
-/// same spec — `xsweep --prof` runs both and asserts exactly that.
+/// Runs one job cold with `sink` attached and returns its result —
+/// shorthand for [`run`] with only [`RunOpts::sink`] set.
 ///
 /// # Errors
 ///
-/// As [`run_spec_with_config`].
-pub fn run_spec_profiled(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-) -> Result<(JobResult, cheri_prof::ProfileReport), String> {
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    let mut session = BenchSession::start_module_profiled(&module, strategy.as_ref(), cfg, None)
-        .map_err(|e| e.to_string())?;
-    let run = session.run_to_completion().map_err(|e| e.to_string())?;
-    let profile = session.take_profile().ok_or("profiled session lost its profiler")?;
-    Ok((JobResult { spec: *spec, run }, profile))
-}
-
-/// As [`run_specs`], but every job runs with a profiler attached;
-/// returns results in spec order, each with its profile.
-///
-/// # Panics
-///
-/// As [`run_specs`].
-#[must_use]
-pub fn run_specs_profiled(
-    specs: &[JobSpec],
-    threads: usize,
-) -> Vec<(JobResult, cheri_prof::ProfileReport)> {
-    engine::run_indexed(specs.len(), threads, |i| {
-        let spec = &specs[i];
-        run_spec_profiled(spec, spec.machine_config())
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-    })
-}
-
-/// Runs `specs` serially on the calling thread, streaming every event
-/// of every run into `sink` with one marker per job — the `--trace-out`
-/// path of the figure harnesses. Serial because the event stream is one
-/// ordered file.
-///
-/// # Panics
-///
-/// As [`run_specs`].
-#[must_use]
-pub fn run_specs_traced(specs: &[JobSpec], sink: &SharedSink) -> Vec<JobResult> {
-    specs
-        .iter()
-        .map(|spec| {
-            run_spec_with_sink(spec, Some(sink.clone()))
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-        })
-        .collect()
+/// As [`run`].
+pub fn run_spec_with_sink(spec: &JobSpec, sink: Option<SharedSink>) -> Result<JobResult, String> {
+    run(spec, RunOpts { sink, ..RunOpts::default() }).map(|out| out.result)
 }
 
 /// The `xsweep` problem-size / matrix-density presets.
@@ -678,6 +601,38 @@ mod tests {
         for workload in Workload::ALL {
             let points = heapsize_sweep(workload);
             assert!(points.len() >= 6, "{}: too few sweep points", workload.name());
+        }
+    }
+
+    #[test]
+    fn one_failed_job_fails_only_its_own_slot() {
+        let p = OldenParams::scaled();
+        let specs: Vec<JobSpec> =
+            [StrategyKind::Mips, StrategyKind::Cheri256, StrategyKind::Ccured]
+                .into_iter()
+                .map(|s| JobSpec::new(Workload::Treeadd, s, p))
+                .collect();
+        // A machine-only snapshot (no kernel section) cannot be resumed.
+        let cold = run(&specs[1], RunOpts { capture: Capture::Phase2, ..RunOpts::default() });
+        let mut bad = cold.unwrap().snapshot.expect("treeadd reaches phase 2");
+        bad.kernel = None;
+        let bad_key = specs[1].key();
+        let outs = run_many(&specs, 2, |spec| {
+            let start = if spec.key() == bad_key { Start::Resume(&bad) } else { Start::Cold };
+            RunOpts { start, ..RunOpts::default() }
+        });
+        let err = outs[1].as_ref().expect_err("resuming a machine-only snapshot must fail");
+        assert!(err.starts_with("treeadd/cheri/tag8: "), "error names its job: {err}");
+        let record = |r: &JobResult| crate::JobRecord::from_result(r);
+        for i in [0, 2] {
+            let got = record(&outs[i].as_ref().unwrap().result);
+            let alone = record(&run(&specs[i], RunOpts::default()).unwrap().result);
+            assert_eq!(
+                got.to_json(),
+                alone.to_json(),
+                "{}: a neighbour's failure leaked",
+                specs[i].key()
+            );
         }
     }
 }

@@ -199,6 +199,19 @@ impl SweepReport {
         self.jobs.iter().find(|j| j.key == key)
     }
 
+    /// `None` if the two reports serialise byte-identically; otherwise
+    /// the key of the first job whose records differ (`<report>` when
+    /// only the wrapper or the job count does) — the name every
+    /// transparency assert reports.
+    #[must_use]
+    pub fn first_difference(&self, other: &SweepReport) -> Option<String> {
+        if self.to_json() == other.to_json() {
+            return None;
+        }
+        let diverged = self.jobs.iter().zip(&other.jobs).find(|(a, b)| a != b);
+        Some(diverged.map_or_else(|| "<report>".to_string(), |(a, _)| a.key.clone()))
+    }
+
     /// Serialises the report: one job per line inside a stable wrapper,
     /// so baselines diff line-per-job under git.
     #[must_use]

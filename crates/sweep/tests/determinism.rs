@@ -7,14 +7,21 @@
 //!    the drifting metric named; an unchanged report passes.
 
 use cheri_sweep::{
-    check_reports, profile_matrix, run_matrix, run_specs, run_specs_block_cache, Profile,
+    check_reports, profile_matrix, run_many, run_matrix, JobResult, JobSpec, Profile, RunOpts,
     SweepReport,
 };
 
+/// Runs `specs` on two threads with the block cache as given (`None`:
+/// the default), failing the test on any job error.
+fn run_jobs(specs: &[JobSpec], block_cache: Option<bool>) -> Vec<JobResult> {
+    let outs = run_many(specs, 2, |_| RunOpts { block_cache, ..RunOpts::default() });
+    outs.into_iter().map(|r| r.unwrap().result).collect()
+}
+
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
-    let serial = run_matrix(Profile::Smoke, 1);
-    let parallel = run_matrix(Profile::Smoke, 8);
+    let serial = run_matrix(Profile::Smoke, 1).unwrap();
+    let parallel = run_matrix(Profile::Smoke, 8).unwrap();
     assert_eq!(
         serial.to_json(),
         parallel.to_json(),
@@ -28,7 +35,7 @@ fn self_check_passes_and_seeded_drift_fails() {
         .into_iter()
         .filter(|s| s.workload.name() == "treeadd")
         .collect();
-    let results = run_specs(&specs, 2);
+    let results = run_jobs(&specs, None);
     let report = SweepReport::from_results("smoke", &results);
 
     // Round-trip through the serialised form, as the CI gate does.
@@ -58,8 +65,8 @@ fn block_cache_is_architecturally_transparent_in_the_sweep() {
         .into_iter()
         .filter(|s| s.workload.name() == "treeadd")
         .collect();
-    let on = SweepReport::from_results("smoke", &run_specs_block_cache(&specs, 2, true));
-    let off = SweepReport::from_results("smoke", &run_specs_block_cache(&specs, 2, false));
+    let on = SweepReport::from_results("smoke", &run_jobs(&specs, Some(true)));
+    let off = SweepReport::from_results("smoke", &run_jobs(&specs, Some(false)));
     assert_eq!(on.to_json(), off.to_json(), "block cache changed architectural results");
 }
 
@@ -72,7 +79,7 @@ fn report_carries_the_evaluations_headline_shape() {
         .into_iter()
         .filter(|s| s.workload.name() == "treeadd")
         .collect();
-    let results = run_specs(&specs, 2);
+    let results = run_jobs(&specs, None);
     let report = SweepReport::from_results("smoke", &results);
     let cycles = |key: &str| report.job(key).expect(key).counters["cycles.total"];
     let (mips, ccured, cheri) =

@@ -6,9 +6,8 @@
 //! monotonically ordered span timestamps.
 
 use cheri_olden::OldenParams;
-use cheri_sweep::{
-    run_spec_profiled, run_spec_with_config, JobRecord, JobSpec, StrategyKind, SweepReport,
-};
+use cheri_prof::ProfileReport;
+use cheri_sweep::{run, JobRecord, JobResult, JobSpec, RunOpts, StrategyKind, SweepReport};
 use cheri_trace::json::{self, Json};
 use cheri_trace::names;
 use cheri_work::Workload;
@@ -25,11 +24,16 @@ fn specs() -> Vec<JobSpec> {
     ]
 }
 
+fn run_profiled(spec: &JobSpec) -> (JobResult, ProfileReport) {
+    let out = run(spec, RunOpts { profile: true, ..RunOpts::default() }).unwrap();
+    (out.result, out.profile.expect("profile requested"))
+}
+
 #[test]
 fn profiled_runs_are_byte_identical_to_plain_runs() {
     for spec in specs() {
-        let plain = run_spec_with_config(&spec, spec.machine_config(), None).unwrap();
-        let (profiled, _) = run_spec_profiled(&spec, spec.machine_config()).unwrap();
+        let plain = run(&spec, RunOpts::default()).unwrap().result;
+        let (profiled, _) = run_profiled(&spec);
         let a = SweepReport::from_results("test", &[plain]);
         let b = SweepReport::from_results("test", &[profiled]);
         assert_eq!(a.to_json(), b.to_json(), "{}: profiling must be transparent", spec.key());
@@ -39,7 +43,7 @@ fn profiled_runs_are_byte_identical_to_plain_runs() {
 #[test]
 fn per_function_attribution_sums_to_global_counters() {
     for spec in specs() {
-        let (result, profile) = run_spec_profiled(&spec, spec.machine_config()).unwrap();
+        let (result, profile) = run_profiled(&spec);
         let record = JobRecord::from_result(&result);
         let global = |name: &str| record.counters.get(name).copied().unwrap_or(0);
         let sum = |f: fn(&cheri_prof::PcCounters) -> u64| -> u64 {
@@ -64,7 +68,7 @@ fn per_function_attribution_sums_to_global_counters() {
 #[test]
 fn folded_stacks_account_for_every_retired_instruction() {
     for spec in specs() {
-        let (_, profile) = run_spec_profiled(&spec, spec.machine_config()).unwrap();
+        let (_, profile) = run_profiled(&spec);
         let folded: u64 = profile.folded.iter().map(|(_, n)| n).sum();
         assert_eq!(folded, profile.total.retired, "{}", spec.key());
         // Every line of the rendered output is "stack count".
@@ -79,7 +83,7 @@ fn folded_stacks_account_for_every_retired_instruction() {
 #[test]
 fn timeline_json_parses_with_monotone_span_timestamps() {
     for spec in specs() {
-        let (_, profile) = run_spec_profiled(&spec, spec.machine_config()).unwrap();
+        let (_, profile) = run_profiled(&spec);
         let doc = json::parse(&profile.timeline_json()).expect("timeline JSON parses");
         let obj = doc.as_obj().expect("timeline is an object");
         let events = obj.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");

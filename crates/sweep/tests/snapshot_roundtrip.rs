@@ -9,7 +9,7 @@ use beri_sim::MachineConfig;
 use cheri_olden::dsl::BenchSession;
 use cheri_olden::OldenParams;
 use cheri_snap::Snapshot;
-use cheri_sweep::{JobRecord, JobResult, JobSpec, StrategyKind};
+use cheri_sweep::{run, Capture, JobRecord, JobSpec, RunOpts, Start, StrategyKind};
 use cheri_work::Workload;
 
 /// Snapshot after `k` retired instructions (through JSON), resume with
@@ -19,25 +19,28 @@ fn check_workload(workload: Workload, k: u64, bc_resume: bool) {
     let cfg = MachineConfig { block_cache: true, ..spec.machine_config() };
     let strategy = spec.strategy.strategy();
 
-    let module = workload.module(&spec.params);
-
-    // Uninterrupted run.
-    let mut straight =
-        BenchSession::start_module(&module, strategy.as_ref(), cfg.clone(), None).unwrap();
-    let run = straight.run_to_completion().unwrap();
-    let want_record = JobRecord::from_result(&JobResult { spec, run });
-    let want_hash = straight.snapshot().state_hash();
+    // Uninterrupted run, keeping its final state.
+    let final_state = |out: cheri_sweep::RunOutput| {
+        (JobRecord::from_result(&out.result), out.snapshot.expect("final snapshot").state_hash())
+    };
+    let straight =
+        RunOpts { block_cache: Some(true), capture: Capture::Final, ..RunOpts::default() };
+    let (want_record, want_hash) = final_state(run(&spec, straight).unwrap());
 
     // Interrupted at instruction k, snapshot through the JSON codec.
+    let module = workload.module(&spec.params);
     let mut first = BenchSession::start_module(&module, strategy.as_ref(), cfg, None).unwrap();
     assert!(first.run_for(k).unwrap().is_none(), "{}: k={k} must stop mid-run", workload.name());
     let json = first.snapshot().to_json();
     let snap = Snapshot::from_json(&json).unwrap();
 
-    let mut second = BenchSession::resume(&snap, spec.strategy.name(), bc_resume).unwrap();
-    let run = second.run_to_completion().unwrap();
-    let got_record = JobRecord::from_result(&JobResult { spec, run });
-    let got_hash = second.snapshot().state_hash();
+    let resumed = RunOpts {
+        block_cache: Some(bc_resume),
+        start: Start::Resume(&snap),
+        capture: Capture::Final,
+        ..RunOpts::default()
+    };
+    let (got_record, got_hash) = final_state(run(&spec, resumed).unwrap());
 
     assert_eq!(
         want_record,
@@ -89,17 +92,16 @@ fn allocstress_roundtrips_with_block_cache_on_and_off() {
     check_workload(Workload::Allocstress, 50_000, false);
 }
 
-/// The warm-start path itself: `run_spec_split` captures a snapshot at
-/// the phase-2 boundary and `run_spec_resume` finishes from it with a
+/// The warm-start path itself: a cold run captures a snapshot at the
+/// phase-2 boundary and a resumed run finishes from it with a
 /// byte-identical record.
 #[test]
 fn warm_start_split_and_resume_agree() {
     let spec = JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, OldenParams::scaled());
-    let cfg = spec.machine_config();
-    let (cold, snap) = cheri_sweep::run_spec_split(&spec, cfg.clone()).unwrap();
-    let snap = snap.expect("treeadd reaches phase 2");
-    let warm = cheri_sweep::run_spec_resume(&spec, &snap, cfg.block_cache).unwrap();
-    let cold_rec = JobRecord::from_result(&cold);
-    let warm_rec = JobRecord::from_result(&warm);
+    let cold = run(&spec, RunOpts { capture: Capture::Phase2, ..RunOpts::default() }).unwrap();
+    let snap = cold.snapshot.expect("treeadd reaches phase 2");
+    let warm = run(&spec, RunOpts { start: Start::Resume(&snap), ..RunOpts::default() }).unwrap();
+    let cold_rec = JobRecord::from_result(&cold.result);
+    let warm_rec = JobRecord::from_result(&warm.result);
     assert_eq!(cold_rec, warm_rec, "warm-started record must equal the cold run");
 }
