@@ -1,17 +1,14 @@
-//! Tracing overhead: simulator throughput with no sink attached, with a
-//! [`NullSink`] (disabled — the common production configuration), and
-//! with a live [`AggregateSink`].
-//!
-//! The design target: a NullSink costs one branch per emission site, so
-//! its throughput must sit within noise of the un-instrumented
-//! baseline. The aggregate sink pays for real counter updates and is
-//! expected to be measurably (but not catastrophically) slower.
+//! Tracing overhead: simulator throughput with no sink attached (the
+//! common production configuration: one `Option` branch per emission
+//! site) and with a live [`JsonlSink`] rendering every event into
+//! `io::sink()`, which pays for event construction and JSON rendering
+//! but no I/O.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use beri_sim::{Machine, MachineConfig, StepResult};
 use cheri_asm::{reg, Asm};
-use cheri_trace::{shared, AggregateSink, AnySink, NullSink, SharedSink};
+use cheri_trace::{shared, JsonlSink, SharedSink};
 
 /// A memory-heavy loop: every iteration is a load + store + ALU work,
 /// exercising the cache/tag emission paths, ending in a syscall.
@@ -56,11 +53,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
     g.throughput(Throughput::Elements(ITERS as u64 * 6));
 
     g.bench_function("baseline_no_sink", |b| b.iter(|| run_with_sink(&prog, None)));
-    g.bench_function("null_sink", |b| {
-        b.iter(|| run_with_sink(&prog, Some(shared(AnySink::Null(NullSink)))))
-    });
-    g.bench_function("aggregate_sink", |b| {
-        b.iter(|| run_with_sink(&prog, Some(shared(AnySink::Aggregate(AggregateSink::new())))))
+    g.bench_function("jsonl_sink", |b| {
+        b.iter(|| run_with_sink(&prog, Some(shared(JsonlSink::new(Box::new(std::io::sink()))))))
     });
     g.finish();
 }

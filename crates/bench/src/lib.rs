@@ -29,7 +29,7 @@ pub mod triage;
 use cheri_cc::strategy::PtrStrategy;
 use cheri_olden::OldenParams;
 use cheri_sweep::{run, run_many, JobResult, JobSpec, RunOpts, RunOutput};
-use cheri_trace::{shared, AnySink, JsonlSink, SharedSink, Sink};
+use cheri_trace::{shared, JsonlSink, SharedSink};
 use cheri_work::Workload;
 
 /// Which problem-size preset a harness should use.
@@ -144,7 +144,7 @@ pub fn parse_trace_out() -> Option<SharedSink> {
         eprintln!("cannot create trace file {path}: {e}");
         std::process::exit(2);
     });
-    Some(shared(AnySink::Jsonl(jsonl)))
+    Some(shared(jsonl))
 }
 
 /// Unwraps one sweep result per job, exiting 1 through [`cli::fail`]

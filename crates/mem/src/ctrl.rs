@@ -123,10 +123,10 @@ impl TagController {
         }
     }
 
-    /// Attaches (or with `None`, detaches) a trace sink. Every
-    /// tag-cache probe and tag-table read/write is mirrored into the
-    /// sink adjacent to the corresponding [`TagCacheStats`] increment,
-    /// so aggregated event counts equal the legacy statistics exactly.
+    /// Attaches (or with `None`, detaches) a trace sink. One event is
+    /// emitted per tag-cache probe and per tag-table read/write, next to
+    /// the corresponding [`TagCacheStats`] increment, so the stream is
+    /// complete with respect to those statistics.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
     }

@@ -8,7 +8,7 @@ use beri_sim::{Exception, Machine, MachineConfig, Stats, StepResult, TrapKind};
 use cheri_asm::Program;
 use cheri_core::{CapCause, Capability, Perms};
 use cheri_mem::MemError;
-use cheri_trace::{emit, names, SharedSink, Snapshot, SpanKind, TraceEvent};
+use cheri_trace::{emit, names, SharedSink, Snapshot, TraceEvent};
 
 use crate::abi;
 use crate::layout::ProcessLayout;
@@ -179,10 +179,6 @@ pub struct Kernel {
     pub(crate) domain_calls: u64,
     pub(crate) domain_returns: u64,
     pub(crate) sink: Option<SharedSink>,
-    // The phase span currently open on the timeline (trace SpanBegin
-    // emitted, SpanEnd pending). Host-side observation state: reset on
-    // exec and on snapshot restore, never serialized.
-    pub(crate) open_phase: Option<u64>,
 }
 
 impl Kernel {
@@ -207,7 +203,6 @@ impl Kernel {
             domain_calls: 0,
             domain_returns: 0,
             sink: None,
-            open_phase: None,
         }
     }
 
@@ -216,15 +211,8 @@ impl Kernel {
     /// hierarchy, and the tag controller all share the handle, so one
     /// call instruments every layer.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        let sink = cheri_trace::active(sink);
         self.machine.set_trace_sink(sink.clone());
         self.sink = sink;
-    }
-
-    /// The kernel's trace sink handle, if one is attached.
-    #[must_use]
-    pub fn trace_sink(&self) -> Option<SharedSink> {
-        self.sink.clone()
     }
 
     /// The underlying machine (e.g. for statistics or capability
@@ -298,8 +286,6 @@ impl Kernel {
         self.execs += 1;
         let pid = self.execs;
         emit(&self.sink, || TraceEvent::ContextSwitch { pid });
-        // The previous address space's spans die with it.
-        self.open_phase = None;
         let ts = self.machine.stats.cycles;
         if let Some(p) = self.machine.profiler_mut() {
             p.on_exec(pid, ts);
@@ -376,19 +362,6 @@ impl Kernel {
             }
             abi::SYS_PHASE => {
                 self.phases.push(PhaseRecord { id: a0, stats: self.machine.stats });
-                if let Some(prev) = self.open_phase.take() {
-                    emit(&self.sink, || TraceEvent::SpanEnd {
-                        kind: SpanKind::Phase,
-                        id: prev,
-                        cycles: ts,
-                    });
-                }
-                emit(&self.sink, || TraceEvent::SpanBegin {
-                    kind: SpanKind::Phase,
-                    id: a0,
-                    cycles: ts,
-                });
-                self.open_phase = Some(a0);
                 if let Some(p) = self.machine.profiler_mut() {
                     p.on_phase(a0, ts);
                 }
@@ -412,11 +385,6 @@ impl Kernel {
             abi::SYS_DCALL => {
                 let a1 = self.machine.cpu.gpr[usize::from(beri_sim::reg::A1)];
                 if self.domain_call(a0, a1) {
-                    emit(&self.sink, || TraceEvent::SpanBegin {
-                        kind: SpanKind::Domain,
-                        id: a0,
-                        cycles: ts,
-                    });
                     if let Some(p) = self.machine.profiler_mut() {
                         p.on_domain_call(a0, ts);
                     }
@@ -427,15 +395,7 @@ impl Kernel {
                 Some(u64::MAX)
             }
             abi::SYS_DRETURN => {
-                let from = self.domain_id_stack.last().copied();
                 if self.domain_return(a0) {
-                    if let Some(id) = from {
-                        emit(&self.sink, || TraceEvent::SpanEnd {
-                            kind: SpanKind::Domain,
-                            id,
-                            cycles: ts,
-                        });
-                    }
                     if let Some(p) = self.machine.profiler_mut() {
                         p.on_domain_return(ts);
                     }
@@ -459,19 +419,10 @@ impl Kernel {
         None
     }
 
-    /// Closes every open timeline span at cycle `ts` — the process is
-    /// exiting, and a balanced timeline renders correctly in Perfetto.
+    /// Closes every open profiler timeline span at cycle `ts` — the
+    /// process is exiting, and a balanced timeline renders correctly in
+    /// Perfetto.
     fn close_spans(&mut self, ts: u64) {
-        if let Some(prev) = self.open_phase.take() {
-            emit(&self.sink, || TraceEvent::SpanEnd {
-                kind: SpanKind::Phase,
-                id: prev,
-                cycles: ts,
-            });
-        }
-        for &id in self.domain_id_stack.iter().rev() {
-            emit(&self.sink, || TraceEvent::SpanEnd { kind: SpanKind::Domain, id, cycles: ts });
-        }
         if let Some(p) = self.machine.profiler_mut() {
             p.on_exit(ts);
         }
@@ -611,9 +562,8 @@ impl Kernel {
 
     /// A unified snapshot of every counter the kernel and the machine
     /// beneath it maintain, keyed by the canonical
-    /// [`cheri_trace::names`] constants. This is the same data an
-    /// attached [`cheri_trace::AggregateSink`] accumulates from the
-    /// event stream, read directly from the legacy per-struct counters.
+    /// [`cheri_trace::names`] constants — the one counter source for
+    /// reports, baselines and `trace_report`.
     #[must_use]
     pub fn metrics(&self) -> Snapshot {
         let mut snap = self.machine.metrics();

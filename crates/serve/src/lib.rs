@@ -44,7 +44,7 @@ pub use engine::{
 pub use pool::{boot_snapshot, PoolEntry, SnapshotPool};
 pub use protocol::{
     decode_event, decode_request, encode_event, encode_request, Event, HealthSnapshot, JobParts,
-    Origin, Request, StatsSnapshot, SCHEMA,
+    Origin, Request, StatsSnapshot, MAX_REQUEST_LINE, SCHEMA,
 };
 pub use server::{Server, ServerConfig};
 pub use telem::{JobCtx, PhaseRecorder, ServiceTelem, HIST_COUNTER_PAIRS};

@@ -27,6 +27,13 @@ use std::collections::BTreeMap;
 /// Schema identifier exchanged in `ping`/`pong`.
 pub const SCHEMA: &str = "cheri-serve/v1";
 
+/// The longest request line the server reads, newline included. The
+/// longest request a well-formed client sends (a `replay` or `job` with
+/// the longest workload and strategy names and a 20-digit `tag_kb`) is
+/// under 200 bytes; a line that reaches this limit without a newline
+/// is answered with an `error` event and the connection is closed.
+pub const MAX_REQUEST_LINE: usize = 4096;
+
 /// How a served job result was obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Origin {

@@ -24,11 +24,11 @@
 
 use crate::engine::{run_profile, verify_against_batch, JobEngine, Stop, WorkerPool};
 use crate::protocol::{
-    decode_request, encode_event, Event, HealthSnapshot, Origin, Request, SCHEMA,
+    decode_request, encode_event, Event, HealthSnapshot, Origin, Request, MAX_REQUEST_LINE, SCHEMA,
 };
 use crate::telem::{self, elapsed_us, JobCtx, ServiceTelem};
 use cheri_sweep::Profile;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -240,12 +240,22 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
+        // Never buffer more than one maximal line: the read stops at
+        // the limit whether or not a newline has arrived.
+        let room = (MAX_REQUEST_LINE - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // client closed
+            Ok(_) if line.len() == MAX_REQUEST_LINE && !line.ends_with(b"\n") => {
+                shared.telem.protocol_error();
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                send(&mut writer, &Event::Error { message });
+                return;
+            }
             Ok(_) => {
-                let text = std::mem::take(&mut line);
+                let bytes = std::mem::take(&mut line);
+                let text = String::from_utf8_lossy(&bytes);
                 let text = text.trim();
                 if text.is_empty() {
                     continue;
@@ -330,7 +340,10 @@ fn end_tag(ev: &Event) -> &'static str {
 fn handle_request(text: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     let req = match decode_request(text) {
         Ok(req) => req,
-        Err(e) => return !send(writer, &Event::Error { message: format!("bad request: {e}") }),
+        Err(e) => {
+            shared.telem.protocol_error();
+            return !send(writer, &Event::Error { message: format!("bad request: {e}") });
+        }
     };
     let observe_only =
         matches!(req, Request::Ping | Request::Stats | Request::Metrics | Request::Health);

@@ -29,6 +29,9 @@ pub const JOBS_CACHED: &str = "serve_jobs_cached_total";
 pub const JOBS_WARM: &str = "serve_jobs_warm_total";
 /// See [`JOBS_CACHED`].
 pub const JOBS_COLD: &str = "serve_jobs_cold_total";
+/// Counter: request lines rejected before dispatch — undecodable, or
+/// longer than [`crate::MAX_REQUEST_LINE`]. Present (at 0) from startup.
+pub const PROTOCOL_ERRORS: &str = "serve_protocol_errors_total";
 /// Counters paired 1:1 with the phase histograms below.
 pub const BOOTS: &str = "serve_boots_total";
 /// See [`BOOTS`].
@@ -112,7 +115,9 @@ impl ServiceTelem {
     /// Fresh telemetry; disabled makes every operation a no-op.
     #[must_use]
     pub fn new(enabled: bool) -> ServiceTelem {
-        ServiceTelem { registry: TelemRegistry::new(enabled), spans: SpanLog::new(enabled) }
+        let registry = TelemRegistry::new(enabled);
+        registry.add(PROTOCOL_ERRORS, 0);
+        ServiceTelem { registry, spans: SpanLog::new(enabled) }
     }
 
     /// Whether telemetry is recorded at all.
@@ -131,6 +136,11 @@ impl ServiceTelem {
     #[must_use]
     pub fn spans(&self) -> &SpanLog {
         &self.spans
+    }
+
+    /// Counts one rejected request line ([`PROTOCOL_ERRORS`]).
+    pub fn protocol_error(&self) {
+        self.registry.add(PROTOCOL_ERRORS, 1);
     }
 
     /// Opens the request-level span for a work request.

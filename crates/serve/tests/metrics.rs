@@ -1,20 +1,25 @@
 //! The `metrics` and `health` wire verbs: exposition validity, idle
-//! byte-stability, the scrape-time consistency invariants, and the
-//! readiness flip after a background prewarm.
+//! byte-stability, the scrape-time consistency invariants, the
+//! readiness flip after a background prewarm, and the counted rejection
+//! of an oversize request line.
 
-use cheri_serve::{Client, JobParts, Origin, Server, ServerConfig, HIST_COUNTER_PAIRS};
-use cheri_sweep::Profile;
+use cheri_serve::{
+    Client, Event, JobParts, Origin, Server, ServerConfig, HIST_COUNTER_PAIRS, MAX_REQUEST_LINE,
+};
+use cheri_sweep::{run, JobRecord, Profile, RunOpts};
 use cheri_telem::parse_exposition;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn spawn_server(cfg: ServerConfig) -> (String, Server) {
     Server::bind("127.0.0.1:0", cfg).map(|s| (s.local_addr().unwrap().to_string(), s)).unwrap()
 }
 
-/// An idle server's exposition is pinned byte-for-byte: only the six
-/// scrape-time gauges, in name order, and a second scrape changes
-/// nothing. Read-only verbs must not create metrics — that is the whole
-/// byte-stability design.
+/// An idle server's exposition is pinned byte-for-byte: the
+/// protocol-error counter at 0 and the six scrape-time gauges, in name
+/// order, and a second scrape changes nothing. Read-only verbs must not
+/// create metrics — that is the whole byte-stability design.
 #[test]
 fn idle_scrape_is_golden_and_byte_stable() {
     let (addr, server) = spawn_server(ServerConfig { workers: 2, ..ServerConfig::default() });
@@ -23,6 +28,8 @@ fn idle_scrape_is_golden_and_byte_stable() {
 
     let first = client.metrics().unwrap();
     let golden = "\
+# TYPE serve_protocol_errors_total counter
+serve_protocol_errors_total 0
 # TYPE serve_cached_results gauge
 serve_cached_results 0
 # TYPE serve_pool_entries gauge
@@ -148,6 +155,57 @@ fn health_flips_ready_after_background_prewarm() {
     assert!(exp.gauge("serve_pool_entries").unwrap_or(0) > 0, "prewarm must fill the pool");
     // Prewarm contributes nothing to job telemetry: no jobs ran.
     assert_eq!(exp.counter("serve_jobs_total"), None, "prewarm must not count as jobs");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// A request line that reaches [`MAX_REQUEST_LINE`] without a newline
+/// is answered with an `error` event and its connection closed — the
+/// line buffer never grows past the limit — and is counted in
+/// `serve_protocol_errors_total`. The next connection is served
+/// normally: its job record equals the batch run's byte for byte.
+#[test]
+fn oversize_request_line_is_rejected_and_counted() {
+    let (addr, server) = spawn_server(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let handle = std::thread::spawn(move || server.serve());
+
+    // The longest request the client can form sits far below the limit.
+    let longest = cheri_serve::encode_request(&cheri_serve::Request::Replay {
+        parts: JobParts {
+            workload: "allocstress".into(),
+            strategy: "ccured-elide".into(),
+            tag_kb: usize::MAX,
+            profile: Profile::Smoke,
+        },
+    });
+    assert!(longest.len() < 200, "{} bytes: {longest}", longest.len());
+
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    // Exactly the limit, no newline: the server consumes every byte
+    // sent, so its close is a clean FIN after the reply.
+    raw.write_all(&vec![b'x'; MAX_REQUEST_LINE]).unwrap();
+    let mut reply = String::new();
+    BufReader::new(raw.try_clone().unwrap()).read_line(&mut reply).unwrap();
+    match cheri_serve::decode_event(&reply).unwrap() {
+        Event::Error { message } => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+
+    let mut client = Client::connect(&addr).unwrap();
+    let exp = parse_exposition(&client.metrics().unwrap()).unwrap();
+    assert_eq!(exp.counter("serve_protocol_errors_total"), Some(1));
+
+    let parts = JobParts {
+        workload: "vmloop".into(),
+        strategy: "cheri".into(),
+        tag_kb: 8,
+        profile: Profile::Smoke,
+    };
+    let spec = parts.spec().unwrap();
+    let (_, _, record) = client.job(parts, true).unwrap();
+    let batch = run(&spec, RunOpts::default()).unwrap().result;
+    assert_eq!(record, JobRecord::from_result(&batch).to_json());
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();

@@ -321,8 +321,8 @@ pub struct Hierarchy {
     pub dram_bytes: u64,
     /// Individual DRAM transactions.
     pub dram_accesses: u64,
-    // Trace sink shared with the rest of the machine; events mirror the
-    // per-cache hit/miss counters exactly.
+    // Trace sink shared with the rest of the machine; one event per
+    // counted cache access.
     sink: Option<SharedSink>,
 }
 
@@ -345,8 +345,8 @@ impl Hierarchy {
     /// Attaches (or with `None`, detaches) a trace sink. One
     /// `CacheAccess` event is emitted per [`Cache::access`] call —
     /// including the L2 probe behind an L1 miss and the L2 update
-    /// absorbing a dirty L1 victim — so aggregated event counts equal
-    /// the per-cache hit/miss/writeback counters exactly.
+    /// absorbing a dirty L1 victim — so the stream is complete: its
+    /// `cache` events, counted, equal the per-cache counters.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
     }

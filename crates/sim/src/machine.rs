@@ -237,19 +237,9 @@ impl Machine {
     /// observational only: attaching any sink never changes
     /// architectural state or cycle accounting.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        // A disabled sink (NullSink) is stored as `None`, so "tracing
-        // off" runs the exact un-instrumented code path.
-        let sink = cheri_trace::active(sink);
         self.hierarchy.set_trace_sink(sink.clone());
         self.mem.set_trace_sink(sink.clone());
         self.sink = sink;
-    }
-
-    /// The currently attached trace sink handle, if any (the kernel
-    /// clones this so OS-level events join the same stream).
-    #[must_use]
-    pub fn trace_sink(&self) -> Option<SharedSink> {
-        self.sink.clone()
     }
 
     /// Attaches a profiler (or detaches, with `None`). The profiler is
@@ -1592,12 +1582,12 @@ impl Machine {
         self.stats.cycles += delta * self.cfg.hierarchy.dram_latency;
     }
 
-    /// Exports every legacy counter — [`Stats`], the per-cache hit/miss
-    /// fields, DRAM traffic, and the tag-controller statistics — into
-    /// one [`Snapshot`] under the canonical `cheri_trace::names`. The
-    /// legacy structs stay authoritative (their public accessors are
-    /// unchanged); this is the common export used for run-to-run diffs
-    /// and for cross-checking an event-driven `AggregateSink`.
+    /// Exports every per-struct counter — [`Stats`], the per-cache
+    /// hit/miss fields, DRAM traffic, and the tag-controller statistics —
+    /// into one [`Snapshot`] under the canonical `cheri_trace::names`.
+    /// This is the one counter source: reports, baselines, run-to-run
+    /// diffs and `trace_report` all read it, and a trace stream folded
+    /// back into counters must equal it.
     #[must_use]
     pub fn metrics(&self) -> Snapshot {
         let mut snap = Snapshot::default();

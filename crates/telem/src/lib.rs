@@ -8,8 +8,7 @@
 //!
 //! * **u64-only, deterministic.** The [`TelemRegistry`] holds counters,
 //!   gauges, and log2-bucket streaming histograms — all `u64`, snapshot
-//!   in name order, diffable exactly like the guest-side
-//!   `MetricsRegistry` (the snapshot converts losslessly into one).
+//!   in name order.
 //! * **Hard invariants, not best-effort logging.** Correlated updates
 //!   (a histogram observation and the counter that should count it) go
 //!   through one [`TelemRegistry::batch`] critical section, so every
@@ -23,12 +22,13 @@
 //!   turns every operation into a no-op — the A/B the telemetry
 //!   overhead benchmark compares.
 //!
-//! Spans reuse the shape PR 5 introduced for guest span events
-//! (`SpanBegin`/`SpanEnd` with a kind, an id, and a timestamp): here the
+//! Spans are begin/end pairs with a kind, an id, and a timestamp: the
 //! kind is a [`SpanPhase`], the id is a (request, job) pair, and the
-//! timestamp is host microseconds since the log was created. The log
-//! exports as a Chrome trace-event / Perfetto timeline with one lane
-//! (`tid`) per request id.
+//! timestamp is host microseconds since the log was created. This is
+//! the host-clock span mechanism; guest-cycle spans live in the
+//! profiler's `cheri_prof::Timeline`. The log exports as a Chrome
+//! trace-event / Perfetto timeline with one lane (`tid`) per request
+//! id.
 //!
 //! [`prom`] renders a registry snapshot as a Prometheus text exposition
 //! (stable ordering, `# TYPE` lines, `_bucket`/`_sum`/`_count`

@@ -16,8 +16,7 @@
 //! a malformed exposition fails loudly in CI rather than rendering as
 //! nonsense.
 
-use crate::registry::TelemSnapshot;
-use cheri_trace::Histogram;
+use crate::registry::{HistSnapshot, TelemSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -42,7 +41,7 @@ pub fn render_exposition(snap: &TelemSnapshot) -> String {
             // hi - 1. The final log2 bucket (i = 64) has no finite
             // upper bound and folds into +Inf below.
             if i < 64 {
-                let le = Histogram::bucket_range(i).1 - 1;
+                let le = HistSnapshot::bucket_range(i).1 - 1;
                 let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
             }
         }

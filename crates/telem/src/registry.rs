@@ -11,16 +11,14 @@
 //! like "the latency histogram has exactly as many observations as the
 //! jobs counter" hold in every scrape, not just at quiescence.
 //!
-//! Histograms use the guest-side log2 bucketing (via
-//! [`cheri_trace::Histogram::bucket_of`]: bucket 0 holds zeros, bucket
-//! *k* the range `[2^(k-1), 2^k)`) plus an exact running maximum, from
-//! which [`HistSnapshot`] derives nearest-rank percentiles: the
-//! `ceil(p·N/100)` rank is resolved to its bucket exactly, the reported
-//! upper bound is tightened by the exact max, and the percentile tests
-//! pin both against a fully sorted reference.
+//! Histograms use log2 bucketing ([`HistSnapshot::bucket_of`]: bucket
+//! 0 holds zeros, bucket *k* the range `[2^(k-1), 2^k)`) plus an exact
+//! running maximum, from which [`HistSnapshot`] derives nearest-rank
+//! percentiles: the `ceil(p·N/100)` rank is resolved to its bucket
+//! exactly, the reported upper bound is tightened by the exact max, and
+//! the percentile tests pin both against a fully sorted reference.
 
 use cheri_trace::json::{self, Json, JsonWriter};
-use cheri_trace::{Histogram, Snapshot, SnapshotDiff};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -42,9 +40,29 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
+    /// Bucket index for `v`.
+    #[must_use]
+    pub fn bucket_of(v: u64) -> usize {
+        if v == 0 {
+            0
+        } else {
+            64 - v.leading_zeros() as usize
+        }
+    }
+
+    /// Inclusive-exclusive value range covered by bucket `i`.
+    #[must_use]
+    pub fn bucket_range(i: usize) -> (u64, u64) {
+        if i == 0 {
+            (0, 1)
+        } else {
+            (1u64 << (i - 1), (1u64 << (i - 1)).saturating_mul(2))
+        }
+    }
+
     /// Records one observation.
     pub fn record(&mut self, v: u64) {
-        self.buckets[Histogram::bucket_of(v)] += 1;
+        self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
@@ -86,10 +104,10 @@ impl HistSnapshot {
         for (i, c) in self.nonzero_buckets() {
             cum += c;
             if cum >= rank {
-                return Histogram::bucket_range(i);
+                return Self::bucket_range(i);
             }
         }
-        Histogram::bucket_range(64)
+        Self::bucket_range(64)
     }
 
     /// Inclusive upper bound on the `ceil(pct·N/100)` nearest-rank
@@ -188,30 +206,6 @@ impl TelemSnapshot {
     #[must_use]
     pub fn histograms(&self) -> &BTreeMap<String, HistSnapshot> {
         &self.hists
-    }
-
-    /// Converts counters and gauges into a guest-side metrics
-    /// [`Snapshot`], so the trace crate's diff machinery (saturating
-    /// deltas, regression warnings, rendered tables) applies to service
-    /// telemetry unchanged.
-    #[must_use]
-    pub fn to_metrics(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        for (k, v) in &self.counters {
-            snap.set_counter(k, *v);
-        }
-        for (k, v) in &self.gauges {
-            snap.set_counter(k, *v);
-        }
-        snap
-    }
-
-    /// Per-counter deltas from `self` to `other` (union of counter and
-    /// gauge names), with the trace crate's saturation-and-warn
-    /// behaviour on regressed counters.
-    #[must_use]
-    pub fn diff(&self, other: &TelemSnapshot) -> SnapshotDiff {
-        self.to_metrics().diff(&other.to_metrics())
     }
 
     /// Serialises as one JSON object:
@@ -382,6 +376,22 @@ mod tests {
     }
 
     #[test]
+    fn log2_buckets() {
+        assert_eq!(HistSnapshot::bucket_of(0), 0);
+        assert_eq!(HistSnapshot::bucket_of(1), 1);
+        assert_eq!(HistSnapshot::bucket_of(2), 2);
+        assert_eq!(HistSnapshot::bucket_of(3), 2);
+        assert_eq!(HistSnapshot::bucket_of(4), 3);
+        assert_eq!(HistSnapshot::bucket_of(1023), 10);
+        assert_eq!(HistSnapshot::bucket_of(1024), 11);
+        assert_eq!(HistSnapshot::bucket_of(u64::MAX), 64);
+        for v in [0u64, 1, 2, 3, 7, 8, 100, 1 << 40] {
+            let (lo, hi) = HistSnapshot::bucket_range(HistSnapshot::bucket_of(v));
+            assert!(v >= lo && (v < hi || hi < lo), "{v} not in [{lo},{hi})");
+        }
+    }
+
+    #[test]
     fn quantiles_bracket_the_sorted_reference() {
         // A deliberately lumpy distribution spanning many buckets.
         let mut values: Vec<u64> = Vec::new();
@@ -482,19 +492,5 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("jobs_total"), 5_000);
         assert_eq!(snap.histogram("latency_us").unwrap().count(), 5_000);
-    }
-
-    #[test]
-    fn diff_reuses_the_metrics_machinery() {
-        let reg = TelemRegistry::new(true);
-        reg.add("jobs_total", 2);
-        let a = reg.snapshot();
-        reg.add("jobs_total", 3);
-        reg.set_gauge("queue_depth", 1);
-        let b = reg.snapshot();
-        let d = a.diff(&b);
-        let jobs = d.entries().iter().find(|e| e.0 == "jobs_total").unwrap();
-        assert_eq!((jobs.1, jobs.2, jobs.3), (2, 5, 3));
-        assert!(d.warnings().is_empty());
     }
 }

@@ -1,15 +1,16 @@
 //! Per-request span events: balanced begin/end pairs per phase, with a
 //! Chrome-trace / Perfetto export.
 //!
-//! This reuses the guest-side span shape from the trace crate
-//! (`SpanBegin`/`SpanEnd`: a kind, an id, a timestamp) for the host
-//! service: the kind is a [`SpanPhase`], the id is a (request, job)
-//! pair, and the timestamp is microseconds since the [`SpanLog`] was
-//! created, taken from a monotonic clock. "Balanced" is a hard
-//! invariant, not a hope: [`SpanLog::check_balance`] verifies that for
-//! every (request, job, phase) key the stream never ends a span that
-//! is not open and closes every span it opens — the roundtrip tests
-//! run it against a live server's log.
+//! A span is a begin/end pair with a kind, an id and a timestamp: the
+//! kind is a [`SpanPhase`], the id is a (request, job) pair, and the
+//! timestamp is microseconds since the [`SpanLog`] was created, taken
+//! from a monotonic clock. (Guest-cycle spans are the profiler's
+//! `cheri_prof::Timeline`; this is the host-clock counterpart.)
+//! "Balanced" is a hard invariant, not a hope:
+//! [`SpanLog::check_balance`] verifies that for every (request, job,
+//! phase) key the stream never ends a span that is not open and closes
+//! every span it opens — the roundtrip tests run it against a live
+//! server's log.
 //!
 //! The export ([`SpanLog::to_chrome_json`]) is the Chrome trace-event
 //! format (`{"traceEvents":[...]}` with `ph: "B"/"E"`), loadable in

@@ -1,8 +1,8 @@
 //! The architectural event vocabulary.
 //!
 //! Events are small `Copy` values: emission sites construct them inside
-//! an `FnOnce` (see [`crate::emit`]) so a disabled sink never pays for
-//! the construction, and an enabled sink never allocates per event.
+//! an `FnOnce` (see [`crate::emit`]) so a run with no sink attached
+//! never pays for the construction.
 
 use crate::json::JsonWriter;
 
@@ -29,26 +29,6 @@ impl CacheLevel {
     }
 }
 
-/// What a [`TraceEvent::SpanBegin`]/[`TraceEvent::SpanEnd`] pair brackets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// A benchmark phase (between `SYS_PHASE` markers).
-    Phase,
-    /// A protection-domain activation (between domain call and return).
-    Domain,
-}
-
-impl SpanKind {
-    /// Lower-case short name used in JSON.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SpanKind::Phase => "phase",
-            SpanKind::Domain => "domain",
-        }
-    }
-}
-
 /// One architectural event, as observed by the simulator, the memory
 /// hierarchy, the tag controller, or the kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +39,7 @@ pub enum TraceEvent {
     /// eviction triggered by this access.
     CacheAccess { level: CacheLevel, write: bool, hit: bool, writeback: bool },
     /// A data-side access completed; `cycles` is the full hierarchy
-    /// charge for the access (feeds the `latency.data_access`
-    /// histogram).
+    /// charge for the access.
     DataAccess { write: bool, bytes: u64, cycles: u64 },
     /// A TLB refill was taken for `vaddr`; `cycles` is the refill
     /// tariff charged by the kernel handler.
@@ -84,12 +63,6 @@ pub enum TraceEvent {
     /// A protection-domain crossing: `enter` is a domain call into
     /// `to`, `!enter` a return from `from`.
     DomainCross { from: u64, to: u64, enter: bool },
-    /// A timeline span opened (kernel phase or domain activation) at
-    /// guest cycle `cycles`. Spans are pure timeline structure: they
-    /// carry no counter and aggregation ignores them.
-    SpanBegin { kind: SpanKind, id: u64, cycles: u64 },
-    /// The matching span closed at guest cycle `cycles`.
-    SpanEnd { kind: SpanKind, id: u64, cycles: u64 },
 }
 
 impl TraceEvent {
@@ -108,8 +81,6 @@ impl TraceEvent {
             TraceEvent::Syscall { .. } => "syscall",
             TraceEvent::ContextSwitch { .. } => "ctx_switch",
             TraceEvent::DomainCross { .. } => "domain",
-            TraceEvent::SpanBegin { .. } => "span_begin",
-            TraceEvent::SpanEnd { .. } => "span_end",
         }
     }
 
@@ -166,12 +137,6 @@ impl TraceEvent {
                 w.u64_field("from", from);
                 w.u64_field("to", to);
                 w.bool_field("enter", enter);
-            }
-            TraceEvent::SpanBegin { kind, id, cycles }
-            | TraceEvent::SpanEnd { kind, id, cycles } => {
-                w.str_field("kind", kind.as_str());
-                w.u64_field("id", id);
-                w.u64_field("cycles", cycles);
             }
         }
         w.close()

@@ -1,40 +1,36 @@
-//! # cheri-trace — unified tracing & metrics for the CHERI reproduction
+//! # cheri-trace — architectural event tracing for the CHERI reproduction
 //!
 //! Every quantity the paper measures (the Figure 4/5 overheads, the
 //! §4.2 tag-cache behaviour, the §8 ablations) is an architectural
-//! event count. This crate gives those events one shared vocabulary
-//! ([`TraceEvent`]), one delivery mechanism (the [`Sink`] trait and the
-//! statically dispatched [`AnySink`]), and one export format (the
-//! [`Snapshot`] produced by a [`MetricsRegistry`], with mechanical
-//! [`Snapshot::diff`] between runs).
+//! event count. The per-struct counters (`beri_sim::Stats`, `Cache`
+//! hit/miss fields, `TagCacheStats`) are the one source of those
+//! counts; `beri_sim::Machine::metrics` exports them as a [`Snapshot`]
+//! under the canonical [`names`], with mechanical [`Snapshot::diff`]
+//! between runs. This crate also gives the underlying events one
+//! vocabulary ([`TraceEvent`]) and one delivery path: a [`JsonlSink`]
+//! streaming them as JSON lines.
 //!
 //! ## Design constraints
 //!
 //! * **No external dependencies.** JSON lines are written and parsed by
 //!   the hand-rolled [`json`] module; no serde.
-//! * **Near-zero cost when disabled.** Instrumented components cache a
-//!   single `bool` derived from [`Sink::enabled`]; with no sink attached
-//!   (or a [`NullSink`]) the hot path is one predictable branch and the
-//!   event value is never even constructed — emission sites take an
-//!   `FnOnce() -> TraceEvent` via [`emit`].
+//! * **Near-zero cost when detached.** Instrumented components hold an
+//!   `Option<SharedSink>`; with no sink attached the hot path is one
+//!   predictable branch and the event value is never even constructed —
+//!   emission sites take an `FnOnce() -> TraceEvent` via [`emit`].
 //! * **Observational transparency.** Sinks only observe; nothing in
 //!   this crate feeds back into architectural state. An integration
-//!   test in `cheri-bench` asserts that a fully aggregated run and an
-//!   un-instrumented run of an Olden workload reach bit-identical
-//!   architectural end-states.
-//! * **Exact parity with legacy counters.** The per-struct counters
-//!   (`beri_sim::Stats`, `Cache` hit/miss fields, `TagCacheStats`)
-//!   remain authoritative and their public accessors keep working; the
-//!   event stream is emitted adjacent to every legacy increment so an
-//!   [`AggregateSink`] reproduces the same numbers under the canonical
-//!   names in [`names`].
+//!   test in `cheri-bench` asserts that traced and un-instrumented runs
+//!   reach bit-identical architectural end-states, and that the stream
+//!   is complete: folded back into counters, it equals the snapshot the
+//!   per-struct counters export.
 //!
 //! ## Quick use
 //!
 //! ```
-//! use cheri_trace::{shared, AggregateSink, AnySink, emit, CacheLevel, TraceEvent};
+//! use cheri_trace::{emit, shared, CacheLevel, JsonlSink, TraceEvent};
 //!
-//! let sink = shared(AnySink::Aggregate(AggregateSink::new()));
+//! let sink = shared(JsonlSink::new(Box::new(Vec::new())));
 //! let attached = Some(sink.clone());
 //! emit(&attached, || TraceEvent::CacheAccess {
 //!     level: CacheLevel::L1D,
@@ -42,11 +38,7 @@
 //!     hit: true,
 //!     writeback: false,
 //! });
-//! let snap = match &*sink.borrow() {
-//!     AnySink::Aggregate(a) => a.snapshot(),
-//!     _ => unreachable!(),
-//! };
-//! assert_eq!(snap.counter("cache.l1d.hits"), 1);
+//! assert_eq!(sink.borrow().written(), 1);
 //! ```
 
 // Library paths must report errors, not abort: every fallible path
@@ -60,17 +52,13 @@ pub mod json;
 mod metrics;
 mod sink;
 
-pub use event::{CacheLevel, SpanKind, TraceEvent};
-pub use metrics::{Histogram, MetricsRegistry, Snapshot, SnapshotDiff};
-pub use sink::{
-    active, emit, marker, shared, AggregateSink, AnySink, JsonlSink, NullSink, RingBufferSink,
-    SharedSink, Sink,
-};
+pub use event::{CacheLevel, TraceEvent};
+pub use metrics::{Snapshot, SnapshotDiff};
+pub use sink::{emit, marker, shared, JsonlSink, SharedSink};
 
-/// Canonical metric names shared by the event aggregator and the legacy
-/// counter exporters, so the two sides can be compared for exact
-/// equality. Keep `beri_sim::Machine::metrics` and
-/// [`AggregateSink`] in sync with this list.
+/// Canonical counter names that `beri_sim::Machine::metrics` and
+/// `cheri_os::Kernel::metrics` export, and that reports, baselines and
+/// the trace-stream completeness test look up.
 pub mod names {
     /// Instructions retired.
     pub const INSTRUCTIONS: &str = "sim.instructions";
@@ -109,10 +97,6 @@ pub mod names {
     /// Data-side memory operations observed at retire.
     pub const LOADS: &str = "mem.loads";
     pub const STORES: &str = "mem.stores";
-    /// Latency histograms (log2-bucketed cycles).
-    pub const LAT_DATA_ACCESS: &str = "latency.data_access";
-    pub const LAT_TLB_REFILL: &str = "latency.tlb_refill";
-    pub const LAT_SYSCALL: &str = "latency.syscall";
 }
 
 #[cfg(test)]
@@ -120,67 +104,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_reports_disabled_and_skips_event_construction() {
-        let sink = shared(AnySink::Null(NullSink));
-        let attached = Some(sink);
-        let mut built = false;
-        emit(&attached, || {
-            built = true;
-            TraceEvent::TlbRefill { vaddr: 0, cycles: 30 }
-        });
-        assert!(!built, "NullSink must not force event construction");
-    }
-
-    #[test]
-    fn aggregate_matches_event_stream() {
-        let sink = shared(AnySink::Aggregate(AggregateSink::new()));
-        let attached = Some(sink.clone());
-        for i in 0..10u64 {
-            emit(&attached, || TraceEvent::Retire { pc: 0x1000 + 4 * i, cap: i % 2 == 0 });
-        }
-        emit(&attached, || TraceEvent::Syscall { nr: 4, cycles: 120 });
-        emit(&attached, || TraceEvent::TagCache { hit: false, writeback: true });
-        let snap = match &*sink.borrow() {
-            AnySink::Aggregate(a) => a.snapshot(),
-            _ => unreachable!(),
-        };
-        assert_eq!(snap.counter(names::INSTRUCTIONS), 10);
-        assert_eq!(snap.counter(names::CAP_INSTRUCTIONS), 5);
-        assert_eq!(snap.counter(names::SYSCALLS), 1);
-        assert_eq!(snap.counter(names::TAG_CACHE_MISSES), 1);
-        assert_eq!(snap.counter(names::TAG_CACHE_WRITEBACKS), 1);
-        let h = snap.histogram(names::LAT_SYSCALL).expect("syscall latency recorded");
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 120);
-    }
-
-    #[test]
-    fn ring_buffer_keeps_last_n() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..8u64 {
-            ring.on_event(&TraceEvent::Retire { pc: i, cap: false });
-        }
-        let pcs: Vec<u64> = ring
-            .events()
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Retire { pc, .. } => *pc,
-                _ => panic!("unexpected event"),
-            })
-            .collect();
-        assert_eq!(pcs, vec![5, 6, 7]);
-    }
-
-    #[test]
     fn snapshot_roundtrip_and_diff() {
-        let mut reg = MetricsRegistry::new();
-        reg.add(names::TLB_REFILLS, 7);
-        reg.add(names::SYSCALLS, 2);
-        reg.record(names::LAT_TLB_REFILL, 30);
-        reg.record(names::LAT_TLB_REFILL, 31);
-        let a = reg.snapshot();
-        reg.add(names::TLB_REFILLS, 5);
-        let b = reg.snapshot();
+        let mut a = Snapshot::default();
+        a.set_counter(names::TLB_REFILLS, 7);
+        a.set_counter(names::SYSCALLS, 2);
+        let mut b = a.clone();
+        b.set_counter(names::TLB_REFILLS, 12);
 
         let text = a.to_json();
         let back = Snapshot::from_json(&text).expect("parse own output");

@@ -1,93 +1,16 @@
-//! Event delivery: the [`Sink`] trait, the concrete sinks, and the
-//! statically dispatched [`AnySink`] that instrumented components hold.
+//! Event delivery: the [`JsonlSink`] that instrumented components
+//! share, and the [`emit`]/[`marker`] helpers they call it through.
 //!
-//! The simulator is single-threaded, so sinks are shared as
-//! `Rc<RefCell<AnySink>>` ([`SharedSink`]): the machine, the cache
+//! The simulator is single-threaded, so the sink is shared as
+//! `Rc<RefCell<JsonlSink>>` ([`SharedSink`]): the machine, the cache
 //! hierarchy, the tag controller, and the kernel each hold a clone of
 //! the same handle and all feed one stream.
 
 use crate::event::TraceEvent;
-use crate::metrics::{MetricsRegistry, Snapshot};
-use crate::names;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::rc::Rc;
-
-/// A consumer of architectural trace events.
-pub trait Sink {
-    /// Delivers one event. Called only when [`Sink::enabled`] is true.
-    fn on_event(&mut self, ev: &TraceEvent);
-
-    /// Delivers an out-of-band marker (e.g. "run start: treeadd/cheri").
-    /// Sinks that have no use for markers ignore them.
-    fn marker(&mut self, _label: &str) {}
-
-    /// Flushes buffered output, if any.
-    fn flush(&mut self) {}
-
-    /// Whether events should be constructed and delivered at all.
-    /// Emission sites check this before building the event, so a
-    /// disabled sink costs one branch per site.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything; reports itself disabled so emission sites skip
-/// event construction entirely. Attaching a `NullSink` is equivalent to
-/// attaching nothing — the transparency bench measures exactly this.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn on_event(&mut self, _ev: &TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Keeps the last *N* events for post-mortem inspection (e.g. "what led
-/// up to this capability exception?").
-#[derive(Clone, Debug)]
-pub struct RingBufferSink {
-    buf: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// A ring holding at most `capacity` events (min 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> RingBufferSink {
-        let capacity = capacity.max(1);
-        RingBufferSink { buf: VecDeque::with_capacity(capacity), capacity, dropped: 0 }
-    }
-
-    /// The retained events, oldest first.
-    #[must_use]
-    pub fn events(&self) -> &VecDeque<TraceEvent> {
-        &self.buf
-    }
-
-    /// How many events were evicted to make room.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl Sink for RingBufferSink {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*ev);
-    }
-}
 
 /// Streams events as JSON lines to any writer (file, stdout, Vec).
 /// Markers appear as `{"marker":"..."}` lines.
@@ -115,16 +38,9 @@ impl JsonlSink {
     pub fn written(&self) -> u64 {
         self.written
     }
-}
 
-impl fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlSink").field("written", &self.written).finish_non_exhaustive()
-    }
-}
-
-impl Sink for JsonlSink {
-    fn on_event(&mut self, ev: &TraceEvent) {
+    /// Writes one event as a JSON line.
+    pub fn on_event(&mut self, ev: &TraceEvent) {
         let mut line = ev.to_json();
         line.push('\n');
         // Trace output is best-effort observation; an I/O error must not
@@ -134,7 +50,8 @@ impl Sink for JsonlSink {
         self.written += 1;
     }
 
-    fn marker(&mut self, label: &str) {
+    /// Writes an out-of-band marker line (e.g. "run start: treeadd/cheri").
+    pub fn marker(&mut self, label: &str) {
         let mut w = crate::json::JsonWriter::object();
         w.str_field("marker", label);
         let mut line = w.close();
@@ -142,202 +59,37 @@ impl Sink for JsonlSink {
         let _ = self.out.write_all(line.as_bytes());
     }
 
-    fn flush(&mut self) {
+    /// Flushes buffered output.
+    pub fn flush(&mut self) {
         let _ = self.out.flush();
     }
 }
 
-/// Folds the event stream into the canonical named counters and latency
-/// histograms of a [`MetricsRegistry`]. The names match what
-/// `beri_sim::Machine::metrics` exports from the legacy per-struct
-/// counters, so the two can be asserted equal.
-#[derive(Clone, Debug, Default)]
-pub struct AggregateSink {
-    registry: MetricsRegistry,
-}
-
-impl AggregateSink {
-    /// An empty aggregator.
-    #[must_use]
-    pub fn new() -> AggregateSink {
-        AggregateSink::default()
-    }
-
-    /// The accumulated registry.
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// A snapshot of the accumulated state.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
-    }
-}
-
-impl Sink for AggregateSink {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        let r = &mut self.registry;
-        match *ev {
-            TraceEvent::Retire { cap, .. } => {
-                r.add(names::INSTRUCTIONS, 1);
-                if cap {
-                    r.add(names::CAP_INSTRUCTIONS, 1);
-                }
-            }
-            TraceEvent::CacheAccess { level, hit, writeback, .. } => {
-                use crate::event::CacheLevel::*;
-                let (h, m, w) = match level {
-                    L1I => (names::L1I_HITS, names::L1I_MISSES, names::L1I_WRITEBACKS),
-                    L1D => (names::L1D_HITS, names::L1D_MISSES, names::L1D_WRITEBACKS),
-                    L2 => (names::L2_HITS, names::L2_MISSES, names::L2_WRITEBACKS),
-                };
-                r.add(if hit { h } else { m }, 1);
-                if writeback {
-                    r.add(w, 1);
-                }
-            }
-            TraceEvent::DataAccess { write, cycles, .. } => {
-                r.add(if write { names::STORES } else { names::LOADS }, 1);
-                r.record(names::LAT_DATA_ACCESS, cycles);
-            }
-            TraceEvent::TlbRefill { cycles, .. } => {
-                r.add(names::TLB_REFILLS, 1);
-                r.record(names::LAT_TLB_REFILL, cycles);
-            }
-            TraceEvent::TagTableRead { .. } => r.add(names::TAG_TABLE_READS, 1),
-            TraceEvent::TagTableWrite { .. } => r.add(names::TAG_TABLE_WRITES, 1),
-            TraceEvent::TagCache { hit, writeback } => {
-                r.add(if hit { names::TAG_CACHE_HITS } else { names::TAG_CACHE_MISSES }, 1);
-                if writeback {
-                    r.add(names::TAG_CACHE_WRITEBACKS, 1);
-                }
-            }
-            TraceEvent::CapException { .. } => r.add(names::CAP_EXCEPTIONS, 1),
-            TraceEvent::Syscall { cycles, .. } => {
-                r.add(names::SYSCALLS, 1);
-                r.record(names::LAT_SYSCALL, cycles);
-            }
-            TraceEvent::ContextSwitch { .. } => r.add(names::CONTEXT_SWITCHES, 1),
-            TraceEvent::DomainCross { enter, .. } => {
-                r.add(if enter { names::DOMAIN_CALLS } else { names::DOMAIN_RETURNS }, 1);
-            }
-            // Spans are timeline structure, not counters: every span is
-            // paired with a counted event (Syscall for phases,
-            // DomainCross for domains), so counting them here would
-            // break the aggregate-vs-legacy parity checks.
-            TraceEvent::SpanBegin { .. } | TraceEvent::SpanEnd { .. } => {}
-        }
-    }
-}
-
-/// All sink shapes behind one statically dispatched enum, so the hot
-/// emission path never goes through a vtable.
-#[derive(Debug)]
-pub enum AnySink {
-    /// Discard (disabled).
-    Null(NullSink),
-    /// Last-N ring buffer.
-    Ring(RingBufferSink),
-    /// JSON-lines stream.
-    Jsonl(JsonlSink),
-    /// Counter/histogram aggregation.
-    Aggregate(AggregateSink),
-    /// Fan-out to several sinks (e.g. JSONL + aggregate in one run).
-    Multi(Vec<AnySink>),
-}
-
-impl Sink for AnySink {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        match self {
-            AnySink::Null(s) => s.on_event(ev),
-            AnySink::Ring(s) => s.on_event(ev),
-            AnySink::Jsonl(s) => s.on_event(ev),
-            AnySink::Aggregate(s) => s.on_event(ev),
-            AnySink::Multi(sinks) => {
-                for s in sinks {
-                    if s.enabled() {
-                        s.on_event(ev);
-                    }
-                }
-            }
-        }
-    }
-
-    fn marker(&mut self, label: &str) {
-        match self {
-            AnySink::Null(s) => s.marker(label),
-            AnySink::Ring(s) => s.marker(label),
-            AnySink::Jsonl(s) => s.marker(label),
-            AnySink::Aggregate(s) => s.marker(label),
-            AnySink::Multi(sinks) => {
-                for s in sinks {
-                    s.marker(label);
-                }
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            AnySink::Null(s) => s.flush(),
-            AnySink::Ring(s) => s.flush(),
-            AnySink::Jsonl(s) => s.flush(),
-            AnySink::Aggregate(s) => s.flush(),
-            AnySink::Multi(sinks) => {
-                for s in sinks {
-                    s.flush();
-                }
-            }
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        match self {
-            AnySink::Null(s) => s.enabled(),
-            AnySink::Ring(s) => s.enabled(),
-            AnySink::Jsonl(s) => s.enabled(),
-            AnySink::Aggregate(s) => s.enabled(),
-            AnySink::Multi(sinks) => sinks.iter().any(Sink::enabled),
-        }
+impl fmt::Debug for JsonlSink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JsonlSink").field("written", &self.written).finish_non_exhaustive()
     }
 }
 
 /// The shared handle instrumented components hold. `Rc` because the
 /// whole simulator is single-threaded; cloning the handle clones the
 /// *reference*, so every component feeds the same sink.
-pub type SharedSink = Rc<RefCell<AnySink>>;
+pub type SharedSink = Rc<RefCell<JsonlSink>>;
 
 /// Wraps a sink into the shared handle form.
 #[must_use]
-pub fn shared(sink: AnySink) -> SharedSink {
+pub fn shared(sink: JsonlSink) -> SharedSink {
     Rc::new(RefCell::new(sink))
 }
 
-/// Normalizes a sink handle for attachment: a disabled sink (a
-/// [`NullSink`], or a `Multi` of nothing but null sinks) is equivalent
-/// to no sink at all, so instrumented components store `None` for it
-/// and the per-event cost collapses to the bare `Option` check — the
-/// "tracing off" configuration runs the exact baseline code path.
-/// Sinks never change their enabled state after construction, so this
-/// is safe to decide once.
-#[must_use]
-pub fn active(sink: Option<SharedSink>) -> Option<SharedSink> {
-    sink.filter(|s| s.borrow().enabled())
-}
-
 /// Emits an event through an optional sink handle. The event closure
-/// runs only when a sink is attached *and* enabled — with no sink (or a
-/// [`NullSink`]) the cost is the `Option` check plus one load.
+/// runs only when a sink is attached — with none, the cost is the bare
+/// `Option` check.
 #[inline]
 pub fn emit(sink: &Option<SharedSink>, make: impl FnOnce() -> TraceEvent) {
     if let Some(handle) = sink {
-        let mut s = handle.borrow_mut();
-        if s.enabled() {
-            let ev = make();
-            s.on_event(&ev);
-        }
+        let ev = make();
+        handle.borrow_mut().on_event(&ev);
     }
 }
 
@@ -381,27 +133,5 @@ mod tests {
         assert_eq!(lines[0], r#"{"marker":"run start: treeadd/cheri"}"#);
         assert!(lines[1].contains(r#""ev":"cache""#));
         assert_eq!(sink.written(), 1);
-    }
-
-    #[test]
-    fn multi_fans_out_and_enabled_is_any() {
-        let multi =
-            AnySink::Multi(vec![AnySink::Null(NullSink), AnySink::Aggregate(AggregateSink::new())]);
-        assert!(multi.enabled());
-        let sink = shared(multi);
-        let attached = Some(sink.clone());
-        emit(&attached, || TraceEvent::ContextSwitch { pid: 1 });
-        match &*sink.borrow() {
-            AnySink::Multi(sinks) => match &sinks[1] {
-                AnySink::Aggregate(a) => {
-                    assert_eq!(a.snapshot().counter(crate::names::CONTEXT_SWITCHES), 1);
-                }
-                _ => unreachable!(),
-            },
-            _ => unreachable!(),
-        }
-
-        let all_null = AnySink::Multi(vec![AnySink::Null(NullSink)]);
-        assert!(!all_null.enabled());
     }
 }
