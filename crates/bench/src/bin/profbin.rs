@@ -23,7 +23,7 @@
 
 use cheri_bench::cli::{self, Cli};
 use cheri_olden::OldenParams;
-use cheri_sweep::{run, JobSpec, RunOpts, DEFAULT_TAG_CACHE_KB};
+use cheri_sweep::{check_tag_cache_kb, run, JobSpec, RunOpts, DEFAULT_TAG_CACHE_KB};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "profbin [--workload NAME] [--strategy NAME] [--tag-kb N] [--top N] \
@@ -76,6 +76,9 @@ fn write_out(path: &Path, text: &str, what: &str) {
 
 fn main() {
     let (args, cli) = parse_args();
+    if let Err(e) = check_tag_cache_kb(args.tag_kb) {
+        cli.usage_exit(&e);
+    }
     // The same by-name constructor the cheri-serve protocol resolves
     // jobs through, so "profbin --workload X --strategy Y" and a served
     // profile request name exactly the same experiment.

@@ -1,6 +1,8 @@
 //! `trace_report` — runs one Olden workload under any pointer strategy
 //! and prints the run's counter table (`Kernel::metrics`, the one
-//! counter source), optionally streaming every architectural event.
+//! counter source) followed by the simulator's host-side work
+//! (`Machine::host_stats`: host-TLB misses, architectural TLB scans),
+//! optionally streaming every architectural event.
 //!
 //! ```text
 //! trace_report <bench> [--strategy <name>] [--scaled|--paper]
@@ -80,10 +82,9 @@ fn main() {
     });
 
     // The runner writes the `run start: <workload>/<strategy>` marker.
-    let run = run(&spec, RunOpts { sink: sink.clone(), ..RunOpts::default() })
-        .unwrap_or_else(|e| cli::fail("trace_report", &format!("{}: {e}", spec.key())))
-        .result
-        .run;
+    let out = run(&spec, RunOpts { sink: sink.clone(), ..RunOpts::default() })
+        .unwrap_or_else(|e| cli::fail("trace_report", &format!("{}: {e}", spec.key())));
+    let run = out.result.run;
     if let Some(sink) = &sink {
         let mut sink = sink.borrow_mut();
         sink.marker("run end");
@@ -94,6 +95,7 @@ fn main() {
     println!("== trace_report: {} [{}] ==", bench.name(), strategy.name());
     println!("exit: {:?}   cycles: {}\n", run.outcome.exit, run.outcome.stats.cycles);
     print!("{}", metrics.render_table());
+    println!("\n{}", out.host);
 
     if let Some(path) = &out_path {
         std::fs::write(path, metrics.to_json())

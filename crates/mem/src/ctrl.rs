@@ -61,6 +61,15 @@ struct TagCacheLine {
     line_index: u64,
 }
 
+/// Whether `cache_bytes` is a tag-cache capacity the controller can
+/// model: zero (no cache) or a power-of-two number of [`TAG_LINE_BYTES`]
+/// lines, so that a line's slot is a mask of its index.
+#[must_use]
+pub fn valid_tag_cache_bytes(cache_bytes: usize) -> bool {
+    let lines = cache_bytes / TAG_LINE_BYTES as usize;
+    lines == 0 || lines.is_power_of_two()
+}
+
 /// The tag manager: tag table + direct-mapped write-back tag cache.
 ///
 /// # Example
@@ -81,6 +90,9 @@ pub struct TagController {
     /// `log2(bytes_per_line())` — the line math runs on every data
     /// store, so it shifts instead of dividing.
     line_shift: u32,
+    /// `lines.len() - 1` (0 for no lines): the line count is a power of
+    /// two, so the slot index is a mask, not a division.
+    slot_mask: u64,
     stats: TagCacheStats,
     // Trace sink shared with the rest of the machine (cloning the
     // controller shares the sink handle, which is what snapshot-style
@@ -101,6 +113,10 @@ impl TagController {
 
     /// A controller with a custom tag-cache capacity (for the ablation
     /// bench). A capacity of 0 disables caching: every access is a miss.
+    ///
+    /// # Panics
+    ///
+    /// As [`TagController::with_config`].
     #[must_use]
     pub fn with_cache_bytes(mem_size: u64, cache_bytes: usize) -> TagController {
         TagController::with_config(mem_size, cache_bytes, TAG_GRANULE)
@@ -108,8 +124,14 @@ impl TagController {
 
     /// Full configuration: cache capacity plus tag granule (16 bytes for
     /// the 128-bit capability format).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the capacity holds zero or a power-of-two number of
+    /// [`TAG_LINE_BYTES`] lines (see [`valid_tag_cache_bytes`]).
     #[must_use]
     pub fn with_config(mem_size: u64, cache_bytes: usize, granule: u64) -> TagController {
+        assert!(valid_tag_cache_bytes(cache_bytes), "tag cache of {cache_bytes} bytes");
         let nlines = cache_bytes / TAG_LINE_BYTES as usize;
         let bytes_per_line = TAG_LINE_BYTES * 8 * granule;
         debug_assert!(bytes_per_line.is_power_of_two());
@@ -117,6 +139,7 @@ impl TagController {
             table: TagTable::with_granule(mem_size, granule),
             lines: vec![TagCacheLine::default(); nlines],
             line_shift: bytes_per_line.trailing_zeros(),
+            slot_mask: (nlines as u64).saturating_sub(1),
             stats: TagCacheStats::default(),
             sink: None,
             miss_probe: None,
@@ -150,6 +173,13 @@ impl TagController {
     #[must_use]
     pub fn stats(&self) -> TagCacheStats {
         self.stats
+    }
+
+    /// Tag-cache misses so far ([`TagCacheStats::misses`]).
+    #[inline]
+    #[must_use]
+    pub fn misses(&self) -> u64 {
+        self.stats.misses
     }
 
     /// Resets the statistics (not the cache contents).
@@ -187,44 +217,46 @@ impl TagController {
         self.stats = stats;
     }
 
+    #[inline]
     fn touch_line(&mut self, paddr: u64, make_dirty: bool) {
-        if self.lines.is_empty() {
-            self.stats.misses += 1;
-            if let Some(p) = &self.miss_probe {
-                p.set(p.get() + 1);
+        let line_index = paddr >> self.line_shift;
+        let slot = (line_index & self.slot_mask) as usize;
+        match self.lines.get_mut(slot) {
+            Some(line) if line.valid && line.line_index == line_index => {
+                self.stats.hits += 1;
+                line.dirty |= make_dirty;
+                emit(&self.sink, || TraceEvent::TagCache { hit: true, writeback: false });
             }
+            _ => self.line_miss(slot, line_index, make_dirty),
+        }
+    }
+
+    /// The miss half of [`TagController::touch_line`]: fills `slot`
+    /// (writing back a dirty victim), or with no cache at all counts a
+    /// miss and, for a write, a write-through.
+    #[cold]
+    fn line_miss(&mut self, slot: usize, line_index: u64, make_dirty: bool) {
+        self.stats.misses += 1;
+        if let Some(p) = &self.miss_probe {
+            p.set(p.get() + 1);
+        }
+        let Some(line) = self.lines.get_mut(slot) else {
             if make_dirty {
                 self.stats.writebacks += 1; // write-through when uncached
             }
             emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback: make_dirty });
             return;
+        };
+        let writeback = line.valid && line.dirty;
+        if writeback {
+            self.stats.writebacks += 1;
         }
-        let line_index = paddr >> self.line_shift;
-        let slot = (line_index % self.lines.len() as u64) as usize;
-        let line = &mut self.lines[slot];
-        if line.valid && line.line_index == line_index {
-            self.stats.hits += 1;
-            emit(&self.sink, || TraceEvent::TagCache { hit: true, writeback: false });
-        } else {
-            self.stats.misses += 1;
-            if let Some(p) = &self.miss_probe {
-                p.set(p.get() + 1);
-            }
-            let writeback = line.valid && line.dirty;
-            if writeback {
-                self.stats.writebacks += 1;
-            }
-            line.valid = true;
-            line.dirty = false;
-            line.line_index = line_index;
-            emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback });
-        }
-        if make_dirty {
-            self.lines[slot].dirty = true;
-        }
+        *line = TagCacheLine { valid: true, dirty: make_dirty, line_index };
+        emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback });
     }
 
     /// Reads the tag for the granule covering `paddr`, through the cache.
+    #[inline]
     #[must_use]
     pub fn read_tag(&mut self, paddr: u64) -> bool {
         self.stats.lookups += 1;
@@ -235,6 +267,7 @@ impl TagController {
     }
 
     /// Writes the tag for the granule covering `paddr`, through the cache.
+    #[inline]
     pub fn write_tag(&mut self, paddr: u64, tag: bool) {
         self.stats.updates += 1;
         self.touch_line(paddr, true);
@@ -248,6 +281,7 @@ impl TagController {
     /// As an optimisation mirroring the hardware, the controller only
     /// performs a table update when a granule might be tagged; but every
     /// store still consults the covering line once.
+    #[inline]
     pub fn clear_tags_for_store(&mut self, paddr: u64, len: u64) {
         if len == 0 {
             return;

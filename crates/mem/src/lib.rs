@@ -25,7 +25,7 @@ pub mod phys;
 pub mod tagged;
 pub mod tags;
 
-pub use ctrl::{TagCacheStats, TagController};
+pub use ctrl::{valid_tag_cache_bytes, TagCacheStats, TagController};
 pub use error::MemError;
 pub use phys::PhysMem;
 pub use tagged::TaggedMem;

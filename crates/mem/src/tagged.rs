@@ -81,6 +81,7 @@ impl TaggedMem {
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the configured granule.
+    #[inline]
     pub fn read_tagged(&mut self, addr: u64, buf: &mut [u8]) -> Result<bool, MemError> {
         let g = self.granule();
         assert_eq!(buf.len() as u64, g, "buffer must be one granule");
@@ -101,6 +102,7 @@ impl TaggedMem {
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the configured granule.
+    #[inline]
     pub fn write_tagged(&mut self, addr: u64, buf: &[u8], tag: bool) -> Result<(), MemError> {
         let g = self.granule();
         assert_eq!(buf.len() as u64, g, "buffer must be one granule");
@@ -122,6 +124,14 @@ impl TaggedMem {
     #[must_use]
     pub fn tag_stats(&self) -> TagCacheStats {
         self.tags.stats()
+    }
+
+    /// Tag-cache misses so far — the one statistic the simulator reads
+    /// per capability access (to charge DRAM latency).
+    #[inline]
+    #[must_use]
+    pub fn tag_misses(&self) -> u64 {
+        self.tags.misses()
     }
 
     /// Resets tag-controller statistics.
@@ -255,6 +265,7 @@ impl TaggedMem {
 
     // --- capability accesses ---------------------------------------------
 
+    #[inline]
     fn check_cap_align(addr: u64) -> Result<(), MemError> {
         if !addr.is_multiple_of(TAG_GRANULE) {
             Err(MemError::Misaligned { addr, required: TAG_GRANULE })
@@ -269,6 +280,7 @@ impl TaggedMem {
     ///
     /// [`MemError::Misaligned`] for non-granule-aligned addresses, or
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn read_cap_raw(&mut self, addr: u64) -> Result<([u8; CAP_SIZE_BYTES], bool), MemError> {
         Self::check_cap_align(addr)?;
         let mut buf = [0u8; CAP_SIZE_BYTES];
@@ -283,6 +295,7 @@ impl TaggedMem {
     /// # Errors
     ///
     /// As [`TaggedMem::read_cap_raw`].
+    #[inline]
     pub fn read_cap(&mut self, addr: u64) -> Result<Capability, MemError> {
         let (bytes, tag) = self.read_cap_raw(addr)?;
         Ok(Capability::from_bytes(&bytes, tag))
@@ -296,6 +309,7 @@ impl TaggedMem {
     /// # Errors
     ///
     /// As [`TaggedMem::read_cap_raw`].
+    #[inline]
     pub fn write_cap(&mut self, addr: u64, cap: &Capability) -> Result<(), MemError> {
         Self::check_cap_align(addr)?;
         self.phys.write_bytes(addr, &cap.to_bytes())?;

@@ -92,6 +92,7 @@ impl TagTable {
     ///
     /// Panics if `paddr` is beyond the covered memory (a simulator bug:
     /// physical range checks happen in [`crate::PhysMem`] first).
+    #[inline]
     #[must_use]
     pub fn get(&self, paddr: u64) -> bool {
         let g = self.granule_of(paddr);
@@ -104,6 +105,7 @@ impl TagTable {
     /// # Panics
     ///
     /// As for [`TagTable::get`].
+    #[inline]
     pub fn set(&mut self, paddr: u64, tag: bool) {
         let g = self.granule_of(paddr);
         assert!(g < self.granules, "tag store beyond physical memory");
@@ -118,6 +120,7 @@ impl TagTable {
     /// Clears every tag whose granule overlaps `[paddr, paddr+len)` — the
     /// effect of a non-capability store (Section 4.2: "Any non-capability
     /// store clears this bit").
+    #[inline]
     pub fn clear_range(&mut self, paddr: u64, len: u64) {
         if len == 0 {
             return;

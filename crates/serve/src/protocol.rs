@@ -20,7 +20,7 @@
 //! by-name surfaces share, so a job spelled over the wire means exactly
 //! the experiment the batch path would run.
 
-use cheri_sweep::{JobSpec, Profile};
+use cheri_sweep::{check_tag_cache_kb, JobSpec, Profile};
 use cheri_trace::json::{self, Json, JsonWriter};
 use std::collections::BTreeMap;
 
@@ -88,8 +88,10 @@ impl JobParts {
     ///
     /// # Errors
     ///
-    /// Names the unknown workload/strategy.
+    /// Names a tag-cache size [`check_tag_cache_kb`] refuses, or the
+    /// unknown workload/strategy.
     pub fn spec(&self) -> Result<JobSpec, String> {
+        check_tag_cache_kb(self.tag_kb)?;
         JobSpec::from_parts(&self.workload, &self.strategy, self.tag_kb, self.profile.params())
             .ok_or_else(|| {
                 format!("unknown workload/strategy '{}/{}'", self.workload, self.strategy)
@@ -724,6 +726,11 @@ mod tests {
         )
         .is_err());
         assert!(decode_request("{\"type\":\"sweep\",\"profile\":\"gigantic\"}").is_err());
+        let err = decode_request(
+            "{\"type\":\"job\",\"workload\":\"treeadd\",\"strategy\":\"cheri\",\"tag_kb\":3}",
+        )
+        .unwrap_err();
+        assert!(err.contains("tag_kb 3"), "{err}");
         assert!(decode_event("{\"type\":\"blip\"}").is_err());
     }
 }

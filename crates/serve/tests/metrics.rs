@@ -1,7 +1,7 @@
 //! The `metrics` and `health` wire verbs: exposition validity, idle
 //! byte-stability, the scrape-time consistency invariants, the
 //! readiness flip after a background prewarm, and the counted rejection
-//! of an oversize request line.
+//! of an oversize request line and of an invalid tag-cache size.
 
 use cheri_serve::{
     Client, Event, JobParts, Origin, Server, ServerConfig, HIST_COUNTER_PAIRS, MAX_REQUEST_LINE,
@@ -200,6 +200,47 @@ fn oversize_request_line_is_rejected_and_counted() {
         workload: "vmloop".into(),
         strategy: "cheri".into(),
         tag_kb: 8,
+        profile: Profile::Smoke,
+    };
+    let spec = parts.spec().unwrap();
+    let (_, _, record) = client.job(parts, true).unwrap();
+    let batch = run(&spec, RunOpts::default()).unwrap().result;
+    assert_eq!(record, JobRecord::from_result(&batch).to_json());
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// A job asking for a tag cache the controller cannot model (3 KB is
+/// not a power of two) is refused at the protocol edge with an `error`
+/// event naming the size, and counted in `serve_protocol_errors_total`.
+/// The server keeps serving: the next job's record equals the batch
+/// run's byte for byte.
+#[test]
+fn bad_tag_cache_size_is_rejected_and_counted() {
+    let (addr, server) = spawn_server(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let handle = std::thread::spawn(move || server.serve());
+
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    raw.write_all(
+        b"{\"type\":\"job\",\"workload\":\"treeadd\",\"strategy\":\"cheri\",\"tag_kb\":3}\n",
+    )
+    .unwrap();
+    let mut reply = String::new();
+    BufReader::new(raw.try_clone().unwrap()).read_line(&mut reply).unwrap();
+    match cheri_serve::decode_event(&reply).unwrap() {
+        Event::Error { message } => assert!(message.contains("tag_kb 3"), "{message}"),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+
+    let mut client = Client::connect(&addr).unwrap();
+    let exp = parse_exposition(&client.metrics().unwrap()).unwrap();
+    assert_eq!(exp.counter("serve_protocol_errors_total"), Some(1));
+
+    let parts = JobParts {
+        workload: "treeadd".into(),
+        strategy: "cheri".into(),
+        tag_kb: 4,
         profile: Profile::Smoke,
     };
     let spec = parts.spec().unwrap();

@@ -141,6 +141,7 @@ impl Cache {
 
     /// Looks up (and on miss, fills) the line containing `paddr`,
     /// marking it dirty on writes.
+    #[inline]
     pub fn access(&mut self, paddr: u64, write: bool) -> Lookup {
         self.tick += 1;
         if paddr >> self.line_shift == self.mru_block {
@@ -152,6 +153,11 @@ impl Cache {
             self.hits += 1;
             return Lookup::Hit;
         }
+        self.access_set(paddr, write)
+    }
+
+    /// [`Cache::access`] past the MRU filter: the set scan.
+    fn access_set(&mut self, paddr: u64, write: bool) -> Lookup {
         let (base, tag) = self.locate(paddr);
         let ways = &mut self.lines[base..base + self.params.ways];
 
@@ -166,9 +172,15 @@ impl Cache {
             self.mru_index = base + w;
             return Lookup::Hit;
         }
+        self.fill(paddr, base, tag, write)
+    }
 
-        // Miss: fill over the LRU way.
+    /// The miss half of [`Cache::access`]: fills the set at `base` over
+    /// its LRU way.
+    #[cold]
+    fn fill(&mut self, paddr: u64, base: usize, tag: u64, write: bool) -> Lookup {
         self.misses += 1;
+        let ways = &mut self.lines[base..base + self.params.ways];
         let (w, victim) = ways
             .iter_mut()
             .enumerate()
@@ -374,6 +386,7 @@ impl Hierarchy {
         }
     }
 
+    #[inline]
     fn emit_access(&mut self, level: CacheLevel, write: bool, lookup: Lookup) {
         emit(&self.sink, || match lookup {
             Lookup::Hit => TraceEvent::CacheAccess { level, write, hit: true, writeback: false },
@@ -385,6 +398,7 @@ impl Hierarchy {
 
     /// One instruction fetch at physical address `paddr`; returns penalty
     /// cycles.
+    #[inline]
     pub fn fetch(&mut self, paddr: u64) -> u64 {
         let lookup = self.l1i.access(paddr, false);
         self.emit_access(CacheLevel::L1I, false, lookup);
@@ -411,6 +425,7 @@ impl Hierarchy {
     /// One data access of `size` bytes at `paddr`; returns penalty
     /// cycles. Accesses crossing a line boundary touch both lines (as the
     /// hardware would take two cache cycles).
+    #[inline]
     pub fn data(&mut self, paddr: u64, size: u64, write: bool) -> u64 {
         let first = paddr >> self.line_shift;
         let last = if size == 0 { first } else { (paddr + size - 1) >> self.line_shift };
@@ -426,21 +441,27 @@ impl Hierarchy {
     }
 
     /// One line-sized data access; shared tail of [`Hierarchy::data`].
+    #[inline]
     fn data_line(&mut self, addr: u64, write: bool) -> u64 {
         let lookup = self.l1d.access(addr, write);
         self.emit_access(CacheLevel::L1D, write, lookup);
         match lookup {
             Lookup::Hit => 0,
-            Lookup::Miss { writeback } => {
-                let penalty = self.through_l2(addr, false);
-                if writeback {
-                    // Dirty L1 victim lands in L2.
-                    let victim = self.l2.access(addr, true);
-                    self.emit_access(CacheLevel::L2, true, victim);
-                }
-                penalty
-            }
+            Lookup::Miss { writeback } => self.data_miss(addr, writeback),
         }
+    }
+
+    /// The L1D-miss half of [`Hierarchy::data_line`]: the L2 probe, plus
+    /// the L2 update absorbing a dirty L1 victim.
+    #[cold]
+    fn data_miss(&mut self, addr: u64, writeback: bool) -> u64 {
+        let penalty = self.through_l2(addr, false);
+        if writeback {
+            // Dirty L1 victim lands in L2.
+            let victim = self.l2.access(addr, true);
+            self.emit_access(CacheLevel::L2, true, victim);
+        }
+        penalty
     }
 
     /// Flushes all levels.

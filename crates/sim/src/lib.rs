@@ -19,7 +19,9 @@
 //! * [`cpu`] — architectural state: GPRs, HI/LO, PC, CP0, the capability
 //!   register file.
 //! * [`tlb`] — the software-managed TLB with CHERI's capability-load /
-//!   capability-store page-permission bits.
+//!   capability-store page-permission bits, fronted by a direct-mapped
+//!   host TLB per access kind (host-side work is counted in
+//!   [`HostStats`], apart from the guest's [`Stats`]).
 //! * [`cache`] — L1I/L1D/L2 cache models and the latency accounting.
 //! * [`machine`] — [`Machine`]: fetch/decode/execute loop; returns
 //!   [`StepResult`] so a host-level kernel (`cheri-os`) can service
@@ -55,6 +57,7 @@ pub mod cache;
 pub mod cpu;
 pub mod decode;
 pub mod exception;
+mod host_tlb;
 pub mod inst;
 pub mod machine;
 pub mod pipeline;
@@ -68,5 +71,5 @@ pub use inst::{reg, Inst};
 pub use machine::{
     cap_from_state, cap_to_state, CapFormat, FaultInjection, Machine, MachineConfig, StepResult,
 };
-pub use stats::Stats;
+pub use stats::{HostStats, Stats};
 pub use tlb::{Tlb, TlbEntry, TlbFlags};

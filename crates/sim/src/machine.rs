@@ -25,9 +25,10 @@ use crate::cache::{Hierarchy, HierarchyParams};
 use crate::cpu::Cpu;
 use crate::decode::decode;
 use crate::exception::{Exception, TrapKind};
+use crate::host_tlb::{Access, HostTlb};
 use crate::inst::{reg, AluImmOp, AluOp, BranchCond, CheriInst, Inst, MulDivOp, ShiftOp, Width};
 use crate::pipeline::{BranchPredictor, INDIRECT_JUMP_PENALTY, MISPREDICT_PENALTY};
-use crate::stats::Stats;
+use crate::stats::{HostStats, Stats};
 use crate::tlb::{Tlb, TlbFlags, PAGE_SHIFT};
 
 /// Which in-memory capability format the machine implements.
@@ -185,11 +186,12 @@ pub struct Machine {
     tlb: Tlb,
     cfg: MachineConfig,
     bare: bool,
-    // One-entry micro-TLBs so the common translation path is O(1);
-    // invalidated on any TLB mutation. (page_number, frame_number, flags)
-    utlb_fetch: Option<(u64, u64, TlbFlags)>,
-    utlb_load: Option<(u64, u64, TlbFlags)>,
-    utlb_store: Option<(u64, u64, TlbFlags)>,
+    // Direct-mapped caches of architectural translations, one table per
+    // access kind, so the common translation path is O(1); emptied on
+    // any TLB mutation or mode change (see the `host_tlb` module).
+    host_tlb: HostTlb,
+    // Host-side work counters, bumped on miss paths only.
+    host: HostStats,
     // Predecoded basic blocks (the `run` fast path); invalidated by
     // store-generation counters, never consulted by `step`.
     blocks: BlockCache,
@@ -221,9 +223,8 @@ impl Machine {
             tlb: Tlb::new(cfg.tlb_entries),
             cfg: cfg.clone(),
             bare: true,
-            utlb_fetch: None,
-            utlb_load: None,
-            utlb_store: None,
+            host_tlb: HostTlb::new(),
+            host: HostStats::default(),
             blocks: BlockCache::new(cfg.mem_bytes),
             sink: None,
             prof: None,
@@ -343,7 +344,7 @@ impl Machine {
     /// mappings are installed.
     pub fn enable_translation(&mut self) {
         self.bare = false;
-        self.invalidate_utlb();
+        self.invalidate_host_tlb();
     }
 
     /// Whether translation is active.
@@ -352,28 +353,34 @@ impl Machine {
         !self.bare
     }
 
-    fn invalidate_utlb(&mut self) {
-        self.utlb_fetch = None;
-        self.utlb_load = None;
-        self.utlb_store = None;
+    fn invalidate_host_tlb(&mut self) {
+        self.host_tlb.invalidate();
+        self.host.host_tlb_invalidations += 1;
+    }
+
+    /// Host-side work counters (host-TLB misses, architectural TLB
+    /// scans). Never part of [`Machine::metrics`] or a snapshot.
+    #[must_use]
+    pub fn host_stats(&self) -> HostStats {
+        self.host
     }
 
     /// Installs a 4 KB mapping (kernel TLB-refill path).
     pub fn tlb_install(&mut self, vaddr: u64, paddr: u64, flags: TlbFlags) {
         self.tlb.install(vaddr, paddr, flags);
-        self.invalidate_utlb();
+        self.invalidate_host_tlb();
     }
 
     /// Flushes the TLB (context switch / `execve`).
     pub fn tlb_flush(&mut self) {
         self.tlb.flush();
-        self.invalidate_utlb();
+        self.invalidate_host_tlb();
     }
 
     /// Invalidates the page containing `vaddr` (revocation by unmapping).
     pub fn tlb_invalidate_page(&mut self, vaddr: u64) {
         self.tlb.invalidate_page(vaddr);
-        self.invalidate_utlb();
+        self.invalidate_host_tlb();
     }
 
     /// Read-only view of the TLB.
@@ -411,37 +418,42 @@ impl Machine {
         self.blocks.invalidate_all();
     }
 
-    fn translate(
-        &mut self,
-        vaddr: u64,
-        write: bool,
-        fetch: bool,
-    ) -> Result<(u64, TlbFlags), TrapKind> {
+    /// Translates `vaddr` for one access of `kind`: bare mode is the
+    /// identity, otherwise the host TLB answers or the miss path asks the
+    /// architectural TLB. Under `debug_assertions` every host-TLB hit is
+    /// checked against a side-effect-free architectural lookup.
+    #[inline(always)]
+    fn translate(&mut self, vaddr: u64, kind: Access) -> Result<(u64, TlbFlags), TrapKind> {
         if self.bare {
             return Ok((vaddr, TlbFlags::rw()));
         }
-        let page = vaddr >> PAGE_SHIFT;
-        let slot = if fetch {
-            &self.utlb_fetch
-        } else if write {
-            &self.utlb_store
-        } else {
-            &self.utlb_load
-        };
-        if let Some((p, f, fl)) = slot {
-            if *p == page {
-                return Ok(((f << PAGE_SHIFT) | (vaddr & 0xfff), *fl));
+        match self.host_tlb.get(kind, vaddr) {
+            Some((paddr, flags)) => {
+                debug_assert_eq!(
+                    self.tlb.lookup(vaddr, kind == Access::Store),
+                    Ok(crate::tlb::Translation { paddr, flags }),
+                    "host TLB hit disagrees with the architectural TLB ({kind:?} {vaddr:#x})"
+                );
+                Ok((paddr, flags))
             }
+            None => self.translate_miss(vaddr, kind),
         }
-        let t = self.tlb.translate(vaddr, write)?;
-        let entry = (page, t.paddr >> PAGE_SHIFT, t.flags);
-        if fetch {
-            self.utlb_fetch = Some(entry);
-        } else if write {
-            self.utlb_store = Some(entry);
-        } else {
-            self.utlb_load = Some(entry);
+    }
+
+    /// The host-TLB miss path: counts the miss and the scan, asks the
+    /// architectural TLB, and caches a successful translation.
+    #[cold]
+    #[inline(never)]
+    fn translate_miss(&mut self, vaddr: u64, kind: Access) -> Result<(u64, TlbFlags), TrapKind> {
+        match kind {
+            Access::Fetch => self.host.fetch_misses += 1,
+            Access::Load => self.host.load_misses += 1,
+            Access::Store => self.host.store_misses += 1,
         }
+        let (t, scanned) = self.tlb.translate_scanned(vaddr, kind == Access::Store);
+        self.host.tlb_entries_scanned += scanned;
+        let t = t?;
+        self.host_tlb.fill(kind, vaddr, t.paddr, t.flags);
         Ok((t.paddr, t.flags))
     }
 
@@ -530,7 +542,7 @@ impl Machine {
         let word = self.mem.read_u32(ppc)?;
         let inst = decode(word);
 
-        let outcome = self.execute(&inst)?;
+        let outcome = self.execute_outlined(&inst)?;
         if let Some(exit) = self.take_exit(outcome) {
             return Ok(exit);
         }
@@ -564,7 +576,7 @@ impl Machine {
             let cause = c.with_reg(cheri_core::exception::PCC_FAULT_REG);
             return Err(self.trap(TrapKind::CapViolation(cause), Some(pc)));
         }
-        match self.translate(pc, false, true) {
+        match self.translate(pc, Access::Fetch) {
             Ok((ppc, _)) => Ok(ppc),
             Err(kind) => Err(self.trap(kind, Some(pc))),
         }
@@ -906,6 +918,7 @@ impl Machine {
 
     /// Shared tail: alignment, capability check, translation, cache
     /// timing. Returns the physical address.
+    #[inline]
     fn checked_access(
         &mut self,
         vaddr: u64,
@@ -929,8 +942,9 @@ impl Machine {
                 badvaddr: Some(vaddr),
             });
         }
+        let kind = if write { Access::Store } else { Access::Load };
         let (paddr, _) = self
-            .translate(vaddr, write, false)
+            .translate(vaddr, kind)
             .map_err(|kind| Outcome::Trap { kind, badvaddr: Some(vaddr) })?;
         let penalty = self.hierarchy.data(paddr, size, write);
         self.stats.cycles += penalty;
@@ -981,7 +995,20 @@ impl Machine {
 
     // --- execute -----------------------------------------------------------
 
+    /// [`Machine::execute`] behind a call, for the per-instruction `step`
+    /// path: only the block loop carries the inlined copy (a second one
+    /// in `step` measured slower on the dispatch-bound workloads).
+    #[inline(never)]
+    fn execute_outlined(&mut self, inst: &Inst) -> Result<Outcome, MemError> {
+        self.execute(inst)
+    }
+
+    /// Executes one decoded instruction. Forced inline into the block
+    /// loop: called out of line, its 40-byte `Result<Outcome, _>` comes
+    /// back through memory, and the loop's wide reload of it stalls on
+    /// the narrower stores that wrote it.
     #[allow(clippy::too_many_lines)]
+    #[inline(always)]
     fn execute(&mut self, inst: &Inst) -> Result<Outcome, MemError> {
         let pc = self.cpu.pc;
         let branch_target =
@@ -1247,7 +1274,7 @@ impl Machine {
                 } else {
                     self.tlb.write_random(entry);
                 }
-                self.invalidate_utlb();
+                self.invalidate_host_tlb();
                 Outcome::Next
             }
             Inst::Tlbp => {
@@ -1300,7 +1327,10 @@ impl Machine {
         }
     }
 
+    /// The capability half of [`Machine::execute`], inlined into it for
+    /// the same reason.
     #[allow(clippy::too_many_lines)]
+    #[inline(always)]
     fn execute_cheri(&mut self, c: &CheriInst) -> Result<Outcome, MemError> {
         let pc = self.cpu.pc;
         let branch_target =
@@ -1406,7 +1436,7 @@ impl Machine {
                 if let Err(e) = cap.check_cap_access_g(vaddr, false, csize) {
                     return Ok(cap_trap(e, cb));
                 }
-                let (paddr, flags) = match self.translate(vaddr, false, false) {
+                let (paddr, flags) = match self.translate(vaddr, Access::Load) {
                     Ok(t) => t,
                     Err(kind) => return Ok(Outcome::Trap { kind, badvaddr: Some(vaddr) }),
                 };
@@ -1420,7 +1450,7 @@ impl Machine {
                     bytes: csize,
                     cycles: penalty,
                 });
-                let before = self.mem.tag_stats().misses;
+                let before = self.mem.tag_misses();
                 let mut loaded = self.load_cap_formatted(paddr)?;
                 self.charge_tag_misses(before);
                 // A page without the capability-load permission strips
@@ -1441,7 +1471,7 @@ impl Machine {
                     return Ok(cap_trap(e, cb));
                 }
                 let stored = *self.cpu.caps.get(cs);
-                let (paddr, flags) = match self.translate(vaddr, true, false) {
+                let (paddr, flags) = match self.translate(vaddr, Access::Store) {
                     Ok(t) => t,
                     Err(kind) => return Ok(Outcome::Trap { kind, badvaddr: Some(vaddr) }),
                 };
@@ -1466,7 +1496,7 @@ impl Machine {
                     bytes: csize,
                     cycles: penalty,
                 });
-                let before = self.mem.tag_stats().misses;
+                let before = self.mem.tag_misses();
                 self.store_cap_formatted(paddr, &stored)?;
                 self.charge_tag_misses(before);
                 self.cpu.ll_reservation = None;
@@ -1546,6 +1576,7 @@ impl Machine {
     }
 
     /// Reads an in-memory capability in the configured format.
+    #[inline]
     fn load_cap_formatted(&mut self, paddr: u64) -> Result<Capability, MemError> {
         match self.cfg.cap_format {
             CapFormat::C256 => self.mem.read_cap(paddr),
@@ -1562,6 +1593,7 @@ impl Machine {
     /// 128-bit format an untagged register stores as a zeroed granule:
     /// the format cannot carry arbitrary data bits (representability was
     /// checked for tagged values before calling this).
+    #[inline]
     fn store_cap_formatted(&mut self, paddr: u64, cap: &Capability) -> Result<(), MemError> {
         match self.cfg.cap_format {
             CapFormat::C256 => self.mem.write_cap(paddr, cap),
@@ -1578,7 +1610,7 @@ impl Machine {
     }
 
     fn charge_tag_misses(&mut self, misses_before: u64) {
-        let delta = self.mem.tag_stats().misses - misses_before;
+        let delta = self.mem.tag_misses() - misses_before;
         self.stats.cycles += delta * self.cfg.hierarchy.dram_latency;
     }
 
@@ -1659,11 +1691,18 @@ impl Machine {
     /// # Errors
     ///
     /// [`cheri_snap::SnapError`] if the recorded capability size names
-    /// no known format.
+    /// no known format, or the tag-cache size is not one the tag
+    /// controller models ([`cheri_mem::valid_tag_cache_bytes`]).
     pub fn config_from_state(
         s: &cheri_snap::ConfigState,
         block_cache: bool,
     ) -> Result<MachineConfig, cheri_snap::SnapError> {
+        if !cheri_mem::valid_tag_cache_bytes(s.tag_cache_bytes as usize) {
+            return Err(cheri_snap::SnapError(format!(
+                "tag cache of {} bytes is not 0 or a power-of-two number of lines",
+                s.tag_cache_bytes
+            )));
+        }
         let cap_format = match s.cap_size {
             32 => CapFormat::C256,
             16 => CapFormat::C128,
@@ -1769,7 +1808,7 @@ impl Machine {
     /// state (caches, tag cache, branch predictor, statistics), so a
     /// restored run is bit-identical — same results, same cycle counts —
     /// to one that never stopped. Reconstructible acceleration state
-    /// (micro-TLBs, the predecoded block cache) and harness attachments
+    /// (the host TLB, the predecoded block cache) and harness attachments
     /// (trace sinks) are excluded; they regenerate on demand and never
     /// affect either results or timing.
     #[must_use]
@@ -1790,7 +1829,7 @@ impl Machine {
     /// machine. The machine must have a compatible identity (same memory
     /// size, cache geometry, capability format, …); the `block_cache`
     /// setting may differ, since it is architecturally transparent.
-    /// Micro-TLBs and the predecoded block cache are invalidated — they
+    /// The host TLB and the predecoded block cache are invalidated — they
     /// cache derivations of the state that was just replaced.
     ///
     /// # Errors
@@ -1812,7 +1851,7 @@ impl Machine {
         self.stats = Stats::from_array(s.stats);
         self.bare = s.bare;
         self.mem.import_state(&s.mem)?;
-        self.invalidate_utlb();
+        self.invalidate_host_tlb();
         self.blocks.invalidate_all();
         // Profile state is host-side only and never serialized: a
         // restored machine starts a fresh observation window, with the
@@ -1989,6 +2028,30 @@ mod tests {
         for _ in 0..n {
             assert_eq!(m.step().unwrap(), StepResult::Continue);
         }
+    }
+
+    /// Loads alternating between two pages miss the host TLB once per
+    /// page; a single-entry cache per access kind would miss on every
+    /// one of them.
+    #[test]
+    fn alternating_pages_miss_the_host_tlb_once_each() {
+        let mut m = machine();
+        let ld = |base| Inst::Load { width: Width::Double, rt: 9, base, imm: 0, unsigned: false };
+        load(&mut m, &[ld(10), ld(11), ld(10), ld(11), ld(10), ld(11)]);
+        m.enable_translation();
+        for page in [0x1000, 0x10000, 0x20000] {
+            m.tlb_install(page, page, TlbFlags::rw());
+        }
+        m.cpu.set_gpr(10, 0x10000);
+        m.cpu.set_gpr(11, 0x20000);
+        let before = m.host_stats();
+        step_n(&mut m, 6);
+        let host = m.host_stats();
+        assert_eq!(host.load_misses - before.load_misses, 2);
+        assert_eq!(host.fetch_misses - before.fetch_misses, 1);
+        assert_eq!(host.store_misses, 0);
+        assert_eq!(host.tlb_scans() - before.tlb_scans(), 3);
+        assert_eq!(m.stats.tlb_refills, 0);
     }
 
     #[test]

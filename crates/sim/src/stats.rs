@@ -163,6 +163,54 @@ impl fmt::Display for Stats {
     }
 }
 
+/// Host-side work counters: what the simulator did to answer the guest,
+/// as opposed to what the guest did ([`Stats`]). They depend on host
+/// caching decisions, so they never enter [`crate::Machine::metrics`],
+/// reports, snapshots or equality checks. Each is bumped on a miss path
+/// only, so the hit paths they describe cost nothing extra.
+///
+/// Host-TLB miss rates follow by dividing by the guest's counts: load
+/// and store misses over [`Stats::loads`]/[`Stats::stores`], fetch misses
+/// over instructions (per-instruction `step`) or block entries.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostStats {
+    /// Instruction-fetch translations the host TLB could not answer.
+    pub fetch_misses: u64,
+    /// Load translations the host TLB could not answer.
+    pub load_misses: u64,
+    /// Store translations the host TLB could not answer.
+    pub store_misses: u64,
+    /// Architectural TLB entries compared by those misses' scans.
+    pub tlb_entries_scanned: u64,
+    /// Times the host TLB was emptied (TLB writes, flushes, mode
+    /// changes, restores).
+    pub host_tlb_invalidations: u64,
+}
+
+impl HostStats {
+    /// Scans of the architectural TLB: one per host-TLB miss.
+    #[must_use]
+    pub fn tlb_scans(&self) -> u64 {
+        self.fetch_misses + self.load_misses + self.store_misses
+    }
+}
+
+impl fmt::Display for HostStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "host TLB misses: fetch {}  load {}  store {}  invalidations {}",
+            self.fetch_misses, self.load_misses, self.store_misses, self.host_tlb_invalidations
+        )?;
+        write!(
+            f,
+            "architectural TLB scans: {}  entries scanned: {}",
+            self.tlb_scans(),
+            self.tlb_entries_scanned
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,6 +47,27 @@ impl TlbFlags {
     pub const fn rw_no_caps() -> TlbFlags {
         TlbFlags { valid: true, dirty: true, cap_load: false, cap_store: false }
     }
+
+    /// The flags as four bits: valid, dirty, cap-load, cap-store (the
+    /// snapshot encoding).
+    #[must_use]
+    pub const fn bits(self) -> u64 {
+        self.valid as u64
+            | (self.dirty as u64) << 1
+            | (self.cap_load as u64) << 2
+            | (self.cap_store as u64) << 3
+    }
+
+    /// Inverse of [`TlbFlags::bits`]; higher bits are ignored.
+    #[must_use]
+    pub const fn from_bits(bits: u64) -> TlbFlags {
+        TlbFlags {
+            valid: bits & 1 != 0,
+            dirty: bits & 2 != 0,
+            cap_load: bits & 4 != 0,
+            cap_store: bits & 8 != 0,
+        }
+    }
 }
 
 /// One TLB entry mapping an aligned *pair* of virtual pages.
@@ -137,23 +158,53 @@ impl Tlb {
     /// * [`TrapKind::TlbInvalid`] if the matching page is invalid.
     /// * [`TrapKind::TlbModified`] for stores to clean pages.
     pub fn translate(&mut self, vaddr: u64, write: bool) -> Result<Translation, TrapKind> {
-        let vpn2 = vaddr >> (PAGE_SHIFT + 1);
-        let odd = (vaddr >> PAGE_SHIFT) & 1 == 1;
-        for e in &self.entries {
-            if e.present && e.vpn2 == vpn2 {
-                let (pfn, flags) = if odd { (e.pfn1, e.flags1) } else { (e.pfn0, e.flags0) };
-                if !flags.valid {
-                    return Err(TrapKind::TlbInvalid { vaddr, write });
-                }
-                if write && !flags.dirty {
-                    return Err(TrapKind::TlbModified { vaddr });
-                }
-                let paddr = (pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1));
-                return Ok(Translation { paddr, flags });
-            }
+        self.translate_scanned(vaddr, write).0
+    }
+
+    /// [`Tlb::translate`] plus the number of entries the scan compared
+    /// (host-side work, reported in [`crate::HostStats`]).
+    pub(crate) fn translate_scanned(
+        &mut self,
+        vaddr: u64,
+        write: bool,
+    ) -> (Result<Translation, TrapKind>, u64) {
+        let hit = self.probe(vaddr);
+        if hit.is_none() {
+            self.misses += 1;
         }
-        self.misses += 1;
-        Err(TrapKind::TlbRefill { vaddr, write })
+        let scanned = hit.map_or(self.entries.len(), |i| i + 1) as u64;
+        (self.resolve(hit, vaddr, write), scanned)
+    }
+
+    /// [`Tlb::translate`] without side effects: the miss is not counted.
+    /// This is the oracle the machine's host TLB is checked against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tlb::translate`].
+    pub fn lookup(&self, vaddr: u64, write: bool) -> Result<Translation, TrapKind> {
+        self.resolve(self.probe(vaddr), vaddr, write)
+    }
+
+    /// The translation of `vaddr` through entry `hit` (from
+    /// [`Tlb::probe`]), with the paper's exception order.
+    fn resolve(
+        &self,
+        hit: Option<usize>,
+        vaddr: u64,
+        write: bool,
+    ) -> Result<Translation, TrapKind> {
+        let Some(i) = hit else { return Err(TrapKind::TlbRefill { vaddr, write }) };
+        let e = &self.entries[i];
+        let (pfn, flags) =
+            if (vaddr >> PAGE_SHIFT) & 1 == 1 { (e.pfn1, e.flags1) } else { (e.pfn0, e.flags0) };
+        if !flags.valid {
+            return Err(TrapKind::TlbInvalid { vaddr, write });
+        }
+        if write && !flags.dirty {
+            return Err(TrapKind::TlbModified { vaddr });
+        }
+        Ok(Translation { paddr: (pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1)), flags })
     }
 
     /// Writes an entry at a "random" slot (round-robin here, which is
@@ -239,12 +290,6 @@ impl Tlb {
     /// count) for `cheri-snap`.
     #[must_use]
     pub fn export_state(&self) -> cheri_snap::TlbState {
-        let pack = |f: TlbFlags| {
-            u64::from(f.valid)
-                | (u64::from(f.dirty) << 1)
-                | (u64::from(f.cap_load) << 2)
-                | (u64::from(f.cap_store) << 3)
-        };
         cheri_snap::TlbState {
             entries: self
                 .entries
@@ -252,9 +297,9 @@ impl Tlb {
                 .map(|e| cheri_snap::TlbEntryState {
                     vpn2: e.vpn2,
                     pfn0: e.pfn0,
-                    flags0: pack(e.flags0),
+                    flags0: e.flags0.bits(),
                     pfn1: e.pfn1,
-                    flags1: pack(e.flags1),
+                    flags1: e.flags1.bits(),
                     present: e.present,
                 })
                 .collect(),
@@ -277,19 +322,13 @@ impl Tlb {
                 s.entries.len()
             )));
         }
-        let unpack = |bits: u64| TlbFlags {
-            valid: bits & 1 != 0,
-            dirty: bits & 2 != 0,
-            cap_load: bits & 4 != 0,
-            cap_store: bits & 8 != 0,
-        };
         for (e, se) in self.entries.iter_mut().zip(&s.entries) {
             *e = TlbEntry {
                 vpn2: se.vpn2,
                 pfn0: se.pfn0,
-                flags0: unpack(se.flags0),
+                flags0: TlbFlags::from_bits(se.flags0),
                 pfn1: se.pfn1,
-                flags1: unpack(se.flags1),
+                flags1: TlbFlags::from_bits(se.flags1),
                 present: se.present,
             };
         }
@@ -407,6 +446,18 @@ mod tests {
             .filter(|&i| tlb.read_indexed(i).present && tlb.read_indexed(i).vpn2 == 0x1000 >> 13)
             .count();
         assert_eq!(matches, 1);
+    }
+
+    #[test]
+    fn lookup_agrees_with_translate_and_counts_nothing() {
+        let mut tlb = Tlb::new(4);
+        tlb.install(0x1000, 0x8000, TlbFlags { dirty: false, ..TlbFlags::rw() });
+        for (vaddr, write) in [(0x1008, false), (0x1008, true), (0x5000, false)] {
+            assert_eq!(tlb.lookup(vaddr, write), tlb.clone().translate(vaddr, write));
+        }
+        assert_eq!(tlb.misses(), 0);
+        assert_eq!(tlb.translate_scanned(0x5000, false).1, 4);
+        assert_eq!(tlb.misses(), 1);
     }
 
     #[test]

@@ -30,10 +30,11 @@ pub mod report;
 
 pub use check::{check_reports, comparisons, render_drifts, tolerance_for, Drift, Tolerance};
 pub use engine::{default_threads, run_indexed};
+pub use matrix::check_tag_cache_kb;
 pub use matrix::{
     heapsize_sweep, profile_matrix, run, run_many, run_spec_with_sink, Capture, JobResult, JobSpec,
     Profile, RunOpts, RunOutput, Start, StrategyKind, CAPWIDTH_STRATEGIES, DEFAULT_TAG_CACHE_KB,
-    ELISION_STRATEGIES, FIGURE4_STRATEGIES, HEAPSIZE_STRATEGIES, TAG_ABLATION_KB,
+    ELISION_STRATEGIES, FIGURE4_STRATEGIES, HEAPSIZE_STRATEGIES, MAX_TAG_CACHE_KB, TAG_ABLATION_KB,
     WARM_SNAPSHOT_PHASE,
 };
 pub use report::{hit_rate_bp, JobRecord, SweepReport, ARCH_COUNTERS, SCHEMA_VERSION};

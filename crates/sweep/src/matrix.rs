@@ -122,6 +122,24 @@ pub const ELISION_STRATEGIES: [StrategyKind; 3] =
 /// The §4.2 tag-cache size ablation axis, in KB (0 = no tag cache).
 pub const TAG_ABLATION_KB: [usize; 7] = [0, 1, 2, 4, 8, 16, 64];
 
+/// The largest tag cache a job may ask for, in KB.
+pub const MAX_TAG_CACHE_KB: usize = 1024;
+
+/// Checks that a job may run with a `kb` KB tag cache: 0 (none) or a
+/// power of two up to [`MAX_TAG_CACHE_KB`]. The tag controller's slot
+/// index is a mask, so it models only power-of-two line counts.
+///
+/// # Errors
+///
+/// Names the size when it is neither.
+pub fn check_tag_cache_kb(kb: usize) -> Result<(), String> {
+    if kb == 0 || (kb.is_power_of_two() && kb <= MAX_TAG_CACHE_KB) {
+        Ok(())
+    } else {
+        Err(format!("tag_kb {kb} is not 0 or a power of two up to {MAX_TAG_CACHE_KB}"))
+    }
+}
+
 /// Figure 5's sweep points for one workload: the parameter values
 /// whose *baseline* heaps span roughly 4 KB .. 1024 KB. The points live
 /// in the workload registry ([`cheri_work::WorkloadInfo::sweep_points`]);
@@ -159,7 +177,8 @@ impl JobSpec {
     /// by-name surface (`profbin` flags, the `cheri-serve` wire
     /// protocol, `serveload --job`) goes through, so a job spelled the
     /// same way always means the same experiment. Returns `None` if the
-    /// workload or strategy name is unknown.
+    /// workload or strategy name is unknown or the tag-cache size fails
+    /// [`check_tag_cache_kb`].
     #[must_use]
     pub fn from_parts(
         workload: &str,
@@ -167,6 +186,7 @@ impl JobSpec {
         tag_cache_kb: usize,
         params: OldenParams,
     ) -> Option<JobSpec> {
+        check_tag_cache_kb(tag_cache_kb).ok()?;
         let workload = Workload::parse(workload)?;
         let strategy = StrategyKind::parse(strategy)?;
         Some(JobSpec { workload, strategy, tag_cache_kb, params, variant: None })
@@ -302,6 +322,9 @@ pub struct RunOutput {
     pub snapshot: Option<Snapshot>,
     /// The finished profile, when [`RunOpts::profile`] was set.
     pub profile: Option<cheri_prof::ProfileReport>,
+    /// The simulator's host-side work counters for this run (from the
+    /// restore, for a resumed run). Never part of the job's record.
+    pub host: beri_sim::HostStats,
 }
 
 /// Runs one job — the single execution path behind every sweep mode,
@@ -342,7 +365,8 @@ pub fn run(spec: &JobSpec, opts: RunOpts<'_>) -> Result<RunOutput, String> {
     } else {
         None
     };
-    Ok(RunOutput { result: JobResult { spec: *spec, run }, snapshot, profile })
+    let host = session.kernel().machine().host_stats();
+    Ok(RunOutput { result: JobResult { spec: *spec, run }, snapshot, profile, host })
 }
 
 /// The part of [`run`] inside its first span: a cold boot (through the
@@ -548,6 +572,13 @@ mod tests {
         assert_eq!(al.key(), "allocstress/mips/tag8");
         assert!(JobSpec::from_parts("nosuch", "cheri", 8, p).is_none());
         assert!(JobSpec::from_parts("treeadd", "nosuch", 8, p).is_none());
+        // Tag caches: none, or a power of two up to 1 MB.
+        for kb in TAG_ABLATION_KB.into_iter().chain([MAX_TAG_CACHE_KB]) {
+            assert!(JobSpec::from_parts("treeadd", "cheri", kb, p).is_some(), "{kb}");
+        }
+        for kb in [3, 12, 2 * MAX_TAG_CACHE_KB, 1 << 20] {
+            assert!(JobSpec::from_parts("treeadd", "cheri", kb, p).is_none(), "{kb}");
+        }
     }
 
     #[test]
